@@ -7,39 +7,35 @@ namespace pushpull {
 // --- SnapshotCsr -------------------------------------------------------------
 
 SnapshotCsr::SnapshotCsr(std::shared_ptr<const Csr> base,
-                         std::vector<vid_t> touched,
-                         std::vector<eid_t> patch_off,
-                         std::vector<vid_t> patch_adj,
-                         std::vector<weight_t> patch_w)
+                         std::shared_ptr<const PatchArena> arena,
+                         std::vector<vid_t> touched, std::vector<Row> rows)
     : base_(std::move(base)),
+      arena_(std::move(arena)),
       touched_(std::move(touched)),
-      patch_off_(std::move(patch_off)),
-      patch_adj_(std::move(patch_adj)),
-      patch_w_(std::move(patch_w)) {
+      rows_(std::move(rows)) {
   PP_CHECK(base_ != nullptr);
-  PP_CHECK(patch_off_.size() == touched_.size() + 1);
-  PP_CHECK(patch_off_.front() == 0);
-  PP_CHECK(patch_off_.back() == static_cast<eid_t>(patch_adj_.size()));
-  PP_CHECK(patch_w_.empty() || patch_w_.size() == patch_adj_.size());
+  PP_CHECK(rows_.size() == touched_.size());
   PP_CHECK(std::is_sorted(touched_.begin(), touched_.end()));
+  PP_CHECK(arena_ != nullptr || touched_.empty());
+  if (arena_ != nullptr) {
+    PP_CHECK((arena_->weights() != nullptr) == base_->has_weights());
+    adj_ = arena_->adj();
+    w_ = arena_->weights();
+  }
   base_arcs_ = base_->num_arcs();
-  arcs_ = base_arcs_ + static_cast<eid_t>(patch_adj_.size());
+  arcs_ = base_arcs_;
   for (std::size_t s = 0; s < touched_.size(); ++s) {
+    PP_CHECK(0 <= rows_[s].begin && rows_[s].begin <= rows_[s].end &&
+             static_cast<std::size_t>(rows_[s].end) <= arena_->size());
+    patched_arcs_ += rows_[s].end - rows_[s].begin;
     arcs_ -= base_->degree(touched_[s]);
   }
+  arcs_ += patched_arcs_;
 }
 
 bool SnapshotCsr::has_edge(vid_t u, vid_t v) const noexcept {
   const auto nb = neighbors(u);
   return std::binary_search(nb.begin(), nb.end(), v);
-}
-
-vid_t SnapshotCsr::max_degree() const noexcept {
-  if (max_degree_cache_ >= 0) return max_degree_cache_;
-  vid_t best = 0;
-  for (vid_t v = 0; v < n(); ++v) best = std::max(best, degree(v));
-  max_degree_cache_ = best;
-  return best;
 }
 
 Csr SnapshotCsr::materialize() const {
@@ -87,7 +83,9 @@ DeltaGraph::DeltaGraph(Csr base) : symmetric_(true) {
   check_base(base);
   n_ = base.n();
   out_.base = std::make_shared<const Csr>(std::move(base));
+  out_.published = std::make_shared<const SnapshotCsr>(out_.base);
   in_.base = out_.base;
+  in_.published = out_.published;
 }
 
 DeltaGraph::DeltaGraph(Digraph base) : symmetric_(false) {
@@ -97,7 +95,9 @@ DeltaGraph::DeltaGraph(Digraph base) : symmetric_(false) {
   PP_CHECK(base.out.num_arcs() == base.in.num_arcs());
   n_ = base.out.n();
   out_.base = std::make_shared<const Csr>(std::move(base.out));
+  out_.published = std::make_shared<const SnapshotCsr>(out_.base);
   in_.base = std::make_shared<const Csr>(std::move(base.in));
+  in_.published = std::make_shared<const SnapshotCsr>(in_.base);
 }
 
 epoch_t DeltaGraph::epoch() const {
@@ -135,6 +135,7 @@ void DeltaGraph::stage_insert(Side& side, vid_t u, vid_t v, weight_t w,
         return a.to != b.to ? a.to < b.to : a.born < b.born;
       });
   ov.inserts.insert(pos, arc);
+  ++overlay_entries_;
 }
 
 void DeltaGraph::stage_remove(Side& side, vid_t u, vid_t v, epoch_t e) {
@@ -152,6 +153,7 @@ void DeltaGraph::stage_remove(Side& side, vid_t u, vid_t v, epoch_t e) {
       ov.removals.begin(), ov.removals.end(), tomb,
       [](const Tombstone& a, const Tombstone& b) { return a.to < b.to; });
   ov.removals.insert(pos, tomb);
+  ++overlay_entries_;
 }
 
 bool DeltaGraph::add_edge(vid_t u, vid_t v, weight_t w) {
@@ -190,56 +192,76 @@ std::size_t DeltaGraph::pending_updates() const {
 }
 
 epoch_t DeltaGraph::commit() {
-  std::lock_guard<std::mutex> lk(mu_);
+  // Writer thread: pending_, epoch_, the overlay and the arenas change only
+  // on this thread, so everything up to the publish reads them unlocked.
   if (pending_.empty()) return epoch_;
   obs::ScopedSpan<obs::Tracer> span(tracer_, "commit", "storage");
   span.arg("updates", static_cast<double>(pending_.size()));
-  ++epoch_;
-  history_.push_back(UpdateBatch{epoch_, std::move(pending_)});
-  pending_.clear();
-  span.arg("epoch", static_cast<double>(epoch_));
-  span.arg("overlay_entries", static_cast<double>(overlay_entries_locked()));
-  return epoch_;
+  const epoch_t next = epoch_ + 1;
+
+  // The rows this batch changes: both endpoints on a symmetric store; the
+  // source's out-row and the target's in-row on a directed one.
+  std::vector<vid_t> out_rows;
+  std::vector<vid_t> in_rows;
+  for (const EdgeUpdate& u : pending_) {
+    out_rows.push_back(u.u);
+    (symmetric_ ? out_rows : in_rows).push_back(u.v);
+  }
+  for (std::vector<vid_t>* rows : {&out_rows, &in_rows}) {
+    std::sort(rows->begin(), rows->end());
+    rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+  }
+  auto out = derive_side(out_, out_rows, next);
+  auto in = symmetric_ ? out : derive_side(in_, in_rows, next);
+
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out_.published = std::move(out);
+    in_.published = std::move(in);
+    epoch_ = next;
+    history_.push_back(UpdateBatch{next, std::move(pending_)});
+    pending_.clear();
+  }
+  span.arg("epoch", static_cast<double>(next));
+  span.arg("overlay_entries", static_cast<double>(overlay_entries_));
+  return next;
 }
 
-std::shared_ptr<const SnapshotCsr> DeltaGraph::materialize_side(
-    const Side& side, epoch_t e) const {
-  std::vector<vid_t> touched;
-  touched.reserve(side.delta.size());
-  for (const auto& [v, ov] : side.delta) {
-    bool differs = false;
-    for (const OverlayArc& a : ov.inserts) {
-      if (a.born <= e && e < a.died) {
-        differs = true;
-        break;
-      }
-    }
-    if (!differs) {
-      for (const Tombstone& t : ov.removals) {
-        if (t.died <= e) {
-          differs = true;
-          break;
-        }
-      }
-    }
-    if (differs) touched.push_back(v);
+bool DeltaGraph::differs(const VertexOverlay& ov, epoch_t e) {
+  for (const OverlayArc& a : ov.inserts) {
+    if (a.born <= e && e < a.died) return true;
   }
-  std::sort(touched.begin(), touched.end());
+  for (const Tombstone& t : ov.removals) {
+    if (t.died <= e) return true;
+  }
+  return false;
+}
 
-  const bool weighted = side.base->has_weights();
-  std::vector<eid_t> patch_off{0};
-  patch_off.reserve(touched.size() + 1);
-  std::vector<vid_t> patch_adj;
-  std::vector<weight_t> patch_w;
-  for (const vid_t v : touched) {
-    const VertexOverlay& ov = side.delta.at(v);
+std::size_t DeltaGraph::merged_degree(const Csr& base, vid_t v,
+                                      const VertexOverlay& ov, epoch_t e) {
+  // Every tombstone names a distinct base arc, and a live insert never
+  // shadows a live base arc, so the merge's length is plain counting.
+  std::size_t d = static_cast<std::size_t>(base.degree(v));
+  for (const Tombstone& t : ov.removals) {
+    if (t.died <= e) --d;
+  }
+  for (const OverlayArc& a : ov.inserts) {
+    if (a.born <= e && e < a.died) ++d;
+  }
+  return d;
+}
+
+PatchArena::Row DeltaGraph::append_merged(PatchArena& arena, const Csr& base,
+                                          vid_t v, const VertexOverlay& ov,
+                                          epoch_t e) {
+  return arena.append([&](auto push) {
     // Merge the sorted base adjacency with the live overlay inserts, dropping
     // tombstoned base arcs. Both inputs are sorted by target; at any epoch at
     // most one of {base arc, overlay arc} per target is live, so the merged
     // list stays sorted and duplicate-free.
-    const auto nb = side.base->neighbors(v);
-    const auto wb =
-        weighted ? side.base->weights(v) : std::span<const weight_t>{};
+    const auto nb = base.neighbors(v);
+    const bool weighted = base.has_weights();
+    const auto wb = weighted ? base.weights(v) : std::span<const weight_t>{};
     std::size_t bi = 0;
     std::size_t oi = 0;
     auto dead = [&](vid_t to) {
@@ -259,34 +281,123 @@ std::shared_ptr<const SnapshotCsr> DeltaGraph::materialize_side(
     };
     for (;;) {
       // Advance past non-live inserts *before* comparing targets — a dead
-      // insert must never win the merge and leak into the patch.
+      // insert must never win the merge and leak into the row.
       const bool has_ins = next_live_insert();
       const bool has_base = bi < nb.size();
       if (!has_base && !has_ins) break;
       if (has_base && (!has_ins || nb[bi] <= ov.inserts[oi].to)) {
-        if (!dead(nb[bi])) {
-          patch_adj.push_back(nb[bi]);
-          if (weighted) patch_w.push_back(wb[bi]);
-        }
+        if (!dead(nb[bi])) push(nb[bi], weighted ? wb[bi] : 1.0f);
         ++bi;
       } else {
-        patch_adj.push_back(ov.inserts[oi].to);
-        if (weighted) patch_w.push_back(ov.inserts[oi].w);
+        push(ov.inserts[oi].to, ov.inserts[oi].w);
         ++oi;
       }
     }
-    patch_off.push_back(static_cast<eid_t>(patch_adj.size()));
+  });
+}
+
+std::shared_ptr<const SnapshotCsr> DeltaGraph::derive_side(
+    Side& side, std::span<const vid_t> changed, epoch_t e) {
+  const SnapshotCsr& prev = *side.published;
+  const Csr& base = *side.base;
+  const bool weighted = base.has_weights();
+  PP_DCHECK(prev.touched_.empty() || prev.arena_ == side.arena);
+
+  // Each changed vertex's overlay, or null when its row now equals the base,
+  // and the exact length of the rows to re-merge.
+  std::vector<const VertexOverlay*> ovs(changed.size(), nullptr);
+  std::size_t fresh = 0;
+  eid_t replaced = 0;  // prev's arcs in the rows being re-merged or dropped
+  for (std::size_t j = 0; j < changed.size(); ++j) {
+    const vid_t v = changed[j];
+    const auto it = side.delta.find(v);
+    if (it != side.delta.end() && differs(it->second, e)) {
+      ovs[j] = &it->second;
+      fresh += merged_degree(base, v, it->second, e);
+    }
+    const int s = prev.slot(v);
+    if (s >= 0) replaced += prev.rows_[s].end - prev.rows_[s].begin;
   }
-  return std::make_shared<const SnapshotCsr>(side.base, std::move(touched),
-                                             std::move(patch_off),
-                                             std::move(patch_adj),
-                                             std::move(patch_w));
+  const auto carried = static_cast<std::size_t>(prev.patched_arcs_ - replaced);
+
+  // Rows are never rewritten: when the re-merged rows do not fit, start an
+  // arena twice the live patched arcs and copy the carried rows into it.
+  // Amortized, each commit pays O(its rows) and an arena never exceeds twice
+  // the rows live when it was started.
+  const bool restart =
+      side.arena == nullptr ||
+      side.arena->size() + fresh > side.arena->capacity();
+  if (restart) {
+    side.arena = std::make_shared<PatchArena>(2 * (carried + fresh), weighted);
+  }
+  PatchArena& arena = *side.arena;
+
+  std::vector<vid_t> touched;
+  std::vector<PatchArena::Row> rows;
+  touched.reserve(prev.touched_.size() + changed.size());
+  rows.reserve(prev.touched_.size() + changed.size());
+  std::size_t i = 0;  // into prev.touched_
+  std::size_t j = 0;  // into changed
+  while (i < prev.touched_.size() || j < changed.size()) {
+    if (j == changed.size() ||
+        (i < prev.touched_.size() && prev.touched_[i] < changed[j])) {
+      // A row the batch left alone: reference it, or copy it on restart.
+      const vid_t v = prev.touched_[i];
+      touched.push_back(v);
+      if (restart) {
+        const auto nb = prev.neighbors(v);
+        const auto wv =
+            weighted ? prev.weights(v) : std::span<const weight_t>{};
+        rows.push_back(arena.append([&](auto push) {
+          for (std::size_t k = 0; k < nb.size(); ++k) {
+            push(nb[k], weighted ? wv[k] : 1.0f);
+          }
+        }));
+      } else {
+        rows.push_back(prev.rows_[i]);
+      }
+      ++i;
+    } else {
+      const vid_t v = changed[j];
+      if (i < prev.touched_.size() && prev.touched_[i] == v) ++i;
+      if (ovs[j] != nullptr) {
+        touched.push_back(v);
+        rows.push_back(append_merged(arena, base, v, *ovs[j], e));
+      }
+      ++j;
+    }
+  }
+  return std::make_shared<const SnapshotCsr>(side.base, side.arena,
+                                             std::move(touched),
+                                             std::move(rows));
+}
+
+std::shared_ptr<const SnapshotCsr> DeltaGraph::materialize_side(
+    const Side& side, epoch_t e) const {
+  std::vector<vid_t> touched;
+  touched.reserve(side.delta.size());
+  std::size_t arcs = 0;
+  for (const auto& [v, ov] : side.delta) {
+    if (differs(ov, e)) {
+      touched.push_back(v);
+      arcs += merged_degree(*side.base, v, ov, e);
+    }
+  }
+  std::sort(touched.begin(), touched.end());
+
+  auto arena = std::make_shared<PatchArena>(arcs, side.base->has_weights());
+  std::vector<PatchArena::Row> rows;
+  rows.reserve(touched.size());
+  for (const vid_t v : touched) {
+    rows.push_back(append_merged(*arena, *side.base, v, side.delta.at(v), e));
+  }
+  return std::make_shared<const SnapshotCsr>(side.base, std::move(arena),
+                                             std::move(touched),
+                                             std::move(rows));
 }
 
 SnapshotView DeltaGraph::snapshot_locked(epoch_t e) const {
-  PP_CHECK(e >= oldest_epoch_ &&
-           "snapshot epoch predates the compaction floor");
-  PP_CHECK(e <= epoch_ && "snapshot epoch not committed yet");
+  if (e == epoch_) return SnapshotView(out_.published, in_.published, e);
   auto out = materialize_side(out_, e);
   auto in = symmetric_ ? out : materialize_side(in_, e);
   return SnapshotView(std::move(out), std::move(in), e);
@@ -299,13 +410,22 @@ SnapshotView DeltaGraph::snapshot() const {
 
 SnapshotView DeltaGraph::snapshot(epoch_t e) const {
   std::lock_guard<std::mutex> lk(mu_);
+  PP_CHECK(e >= oldest_epoch_ &&
+           "snapshot epoch predates the compaction floor");
+  PP_CHECK(e <= epoch_ && "snapshot epoch not committed yet");
   return snapshot_locked(e);
 }
 
-void DeltaGraph::rebase_side(Side& side, std::shared_ptr<const Csr> new_base,
-                             epoch_t at) {
+std::optional<SnapshotView> DeltaGraph::try_snapshot(epoch_t e) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  if (e < oldest_epoch_ || e > epoch_) return std::nullopt;
+  return snapshot_locked(e);
+}
+
+std::unordered_map<vid_t, DeltaGraph::VertexOverlay>
+DeltaGraph::rebased_overlay(const Side& side, epoch_t at) {
   std::unordered_map<vid_t, VertexOverlay> rebased;
-  for (auto& [v, ov] : side.delta) {
+  for (const auto& [v, ov] : side.delta) {
     VertexOverlay keep;
     for (const OverlayArc& a : ov.inserts) {
       if (a.born > at) {
@@ -334,77 +454,74 @@ void DeltaGraph::rebase_side(Side& side, std::shared_ptr<const Csr> new_base,
       rebased.emplace(v, std::move(keep));
     }
   }
-  side.base = std::move(new_base);
-  side.delta = std::move(rebased);
+  return rebased;
 }
 
 void DeltaGraph::compact() {
-  // Materialize at the current committed epoch under the lock (O(overlay)),
-  // expand into a fresh CSR outside it (O(n + m)), then swap. Updates staged
-  // or committed while the merge runs stay in the overlay via the rebase.
-  std::unique_lock<std::mutex> lk(mu_);
+  // Writer thread. The published snapshot already holds the overlay merged
+  // at epoch(), so expanding it into a fresh CSR (O(n + m)) and rebasing the
+  // overlay read only writer-owned state and run unlocked; the lock covers
+  // the swap. At the compaction epoch nothing in the rebased overlay is live,
+  // so the republished snapshots are the bare new bases, and the next commit
+  // starts a new arena. Live views keep the old bases and arenas.
   obs::ScopedSpan<obs::Tracer> span(tracer_, "compact", "storage");
   const epoch_t at = epoch_;
   if (oldest_epoch_ == at && out_.delta.empty() && in_.delta.empty()) return;
-  span.arg("overlay_entries_before",
-           static_cast<double>(overlay_entries_locked()));
-  auto out_snap = materialize_side(out_, at);
-  auto in_snap = symmetric_ ? nullptr : materialize_side(in_, at);
-  lk.unlock();
-
-  auto new_out = std::make_shared<const Csr>(out_snap->materialize());
-  auto new_in =
-      symmetric_ ? new_out : std::make_shared<const Csr>(in_snap->materialize());
-
-  lk.lock();
-  rebase_side(out_, new_out, at);
-  if (symmetric_) {
-    in_.base = out_.base;
-  } else {
-    rebase_side(in_, new_in, at);
+  span.arg("overlay_entries_before", static_cast<double>(overlay_entries_));
+  auto new_out = std::make_shared<const Csr>(out_.published->materialize());
+  auto new_in = symmetric_ ? new_out
+                           : std::make_shared<const Csr>(
+                                 in_.published->materialize());
+  auto out_delta = rebased_overlay(out_, at);
+  auto in_delta = rebased_overlay(in_, at);
+  std::size_t entries = 0;
+  for (const auto* delta : {&out_delta, &in_delta}) {
+    for (const auto& [v, ov] : *delta) {
+      entries += ov.inserts.size() + ov.removals.size();
+    }
   }
-  oldest_epoch_ = at;
+  auto pub_out = std::make_shared<const SnapshotCsr>(new_out);
+  auto pub_in =
+      symmetric_ ? pub_out : std::make_shared<const SnapshotCsr>(new_in);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    out_.base = std::move(new_out);
+    in_.base = std::move(new_in);
+    out_.delta.swap(out_delta);
+    in_.delta.swap(in_delta);
+    out_.published = std::move(pub_out);
+    in_.published = std::move(pub_in);
+    overlay_entries_ = entries;
+    oldest_epoch_ = at;
+  }
+  out_.arena.reset();
+  in_.arena.reset();
   span.arg("epoch", static_cast<double>(at));
-  span.arg("overlay_entries_after",
-           static_cast<double>(overlay_entries_locked()));
+  span.arg("overlay_entries_after", static_cast<double>(entries));
 }
 
 std::vector<UpdateBatch> DeltaGraph::batches_since(epoch_t since) const {
   std::lock_guard<std::mutex> lk(mu_);
-  std::vector<UpdateBatch> out;
-  for (const UpdateBatch& b : history_) {
-    if (b.epoch > since) out.push_back(b);
-  }
-  return out;
+  return {history_.begin() + std::clamp<epoch_t>(since, 0, epoch_),
+          history_.end()};
 }
 
 std::size_t DeltaGraph::num_batches_since(epoch_t since) const {
+  // history_ holds exactly one batch per epoch in (0, epoch_], so the count
+  // is epoch arithmetic.
   std::lock_guard<std::mutex> lk(mu_);
-  std::size_t count = 0;
-  for (const UpdateBatch& b : history_) {
-    if (b.epoch > since) ++count;
-  }
-  return count;
+  return static_cast<std::size_t>(epoch_ -
+                                  std::clamp<epoch_t>(since, 0, epoch_));
 }
 
 eid_t DeltaGraph::num_arcs() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return materialize_side(out_, epoch_)->num_arcs();
+  return out_.published->num_arcs();
 }
 
 std::size_t DeltaGraph::overlay_entries() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return overlay_entries_locked();
-}
-
-std::size_t DeltaGraph::overlay_entries_locked() const {
-  std::size_t count = 0;
-  for (const Side* side : {&out_, &in_}) {
-    for (const auto& [v, ov] : side->delta) {
-      count += ov.inserts.size() + ov.removals.size();
-    }
-  }
-  return count;
+  return overlay_entries_;
 }
 
 std::vector<EdgeUpdate> flatten(const std::vector<UpdateBatch>& batches) {

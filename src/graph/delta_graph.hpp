@@ -7,9 +7,9 @@
 //
 //            writer ──► per-vertex overlay buffers (epoch-tagged)
 //                         │ add_edge / remove_edge stage at epoch E+1
-//                         │ commit()  ──► publishes epoch E+1
+//                         │ commit()  ──► derives and publishes epoch E+1
 //                         ▼
-//            sealed base CSR  +  overlay  ──snapshot(e)──►  SnapshotCsr
+//            sealed base CSR  +  patch arena  ──snapshot()──►  SnapshotCsr
 //                         ▲
 //                         └── compact() merges overlay into a fresh base
 //                             (live snapshots keep the old base alive)
@@ -20,27 +20,40 @@
 // snapshot until commit. snapshot(e) is valid for any epoch in
 // [oldest_epoch(), epoch()] — compact() advances the floor.
 //
+// Publish on commit: commit() derives epoch E+1's SnapshotCsr of each side
+// from epoch E's, re-merging only the rows of the vertices its batch names
+// and appending them to an append-only PatchArena shared by every snapshot
+// derived since the arena was started (SumInc's IncFragmentBuilder builds
+// the next fragment from the deltas the same way). snapshot() and
+// snapshot(epoch()) are pointer copies of that published view; an older
+// epoch is materialized from the overlay on demand (the historic path).
+//
 // SnapshotCsr is a point-in-time view of one direction: vertices untouched
 // by the overlay read straight from the sealed base (same spans, same edge
-// ids — bit-for-bit the static layout); touched vertices read from a patched
-// adjacency materialized at snapshot time, addressed by edge ids offset past
-// the base arc range. SnapshotCsr models the CsrLike concept
-// (graph/csr.hpp), and SnapshotView pairs two of them (out + in; aliased for
-// symmetric graphs) to model the engine's GraphView concept — every edge_map
-// loop shape and every core kernel runs on a snapshot unmodified.
+// ids — bit-for-bit the static layout); touched vertices read their merged
+// row from the arena, addressed by edge ids offset past the base arc range.
+// SnapshotCsr models the CsrLike concept (graph/csr.hpp), and SnapshotView
+// pairs two of them (out + in; aliased for symmetric graphs) to model the
+// engine's GraphView concept — every edge_map loop shape and every core
+// kernel runs on a snapshot unmodified.
 //
 // Thread model: one writer thread owns add_edge/remove_edge/commit/compact;
 // snapshot() and the read-only queries may be called from any thread
-// concurrently with the writer (a mutex guards the mutable state, and a
-// materialized snapshot is immutable — readers never observe writer
-// progress). compact() does its O(n + m) merge outside the lock, so writers
-// and snapshotters stall only for the pointer swap.
+// concurrently with the writer. The writer is the only thread that mutates
+// the overlay, so it derives snapshots (commit) and expands them into a new
+// base (compact) outside the mutex; the mutex guards the published pointers,
+// the epoch counters, the history and the overlay's mutation, so readers
+// wait at most for a pointer swap — or, on the historic path, for their own
+// O(overlay) materialization. A published snapshot is immutable: readers
+// never observe writer progress.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -71,23 +84,77 @@ struct UpdateBatch {
   std::vector<EdgeUpdate> updates;
 };
 
+// --- PatchArena --------------------------------------------------------------
+
+// Append-only storage for the patched rows of snapshots. A row is written
+// once and never rewritten, so one arena is shared by every SnapshotCsr
+// derived since it was started: a snapshot reads only rows that were complete
+// before it was published, and the writer only ever writes past them.
+// Storage is allocated uninitialized, so capacity not yet written costs no
+// resident memory.
+class PatchArena {
+ public:
+  // One row's arc range [begin, end) in the arena.
+  struct Row {
+    eid_t begin = 0;
+    eid_t end = 0;
+  };
+
+  PatchArena(std::size_t capacity, bool weighted)
+      : adj_(new vid_t[capacity]),
+        w_(weighted ? new weight_t[capacity] : nullptr),
+        capacity_(capacity) {}
+
+  PatchArena(const PatchArena&) = delete;
+  PatchArena& operator=(const PatchArena&) = delete;
+
+  std::size_t size() const noexcept { return size_; }
+  std::size_t capacity() const noexcept { return capacity_; }
+  const vid_t* adj() const noexcept { return adj_.get(); }
+  const weight_t* weights() const noexcept { return w_.get(); }  // null: unweighted
+
+  // Appends one row: fill(push) calls push(to, w) once per arc, in order.
+  template <class Fill>
+  Row append(Fill&& fill) {
+    const std::size_t begin = size_;
+    fill([this](vid_t to, weight_t w) {
+      PP_CHECK(size_ < capacity_ && "patch arena overflow");
+      adj_[size_] = to;
+      if (w_) w_[size_] = w;
+      ++size_;
+    });
+    return Row{static_cast<eid_t>(begin), static_cast<eid_t>(size_)};
+  }
+
+ private:
+  std::unique_ptr<vid_t[]> adj_;
+  std::unique_ptr<weight_t[]> w_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
+};
+
 // --- SnapshotCsr -------------------------------------------------------------
 
-// One direction of a point-in-time snapshot: a sealed base CSR plus a patch
-// arena holding the merged (base ∖ deletions ∪ insertions) adjacency of every
-// vertex the overlay touched at this epoch. Edge ids < base.num_arcs() index
-// the base arrays; ids ≥ base.num_arcs() index the arena. Adjacency lists
-// stay sorted ascending, so has_edge keeps its O(log d̂) bound and kernels
-// that exploit sorted neighbors (triangle counting) work unchanged.
+// One direction of a point-in-time snapshot: a sealed base CSR plus, for
+// every vertex the overlay touched at this epoch, one row in a PatchArena
+// holding its merged (base ∖ deletions ∪ insertions) adjacency. Edge ids
+// < base.num_arcs() index the base arrays; ids ≥ base.num_arcs() index the
+// arena, one contiguous range per row. Adjacency lists stay sorted
+// ascending, so has_edge keeps its O(log d̂) bound and kernels that exploit
+// sorted neighbors (triangle counting) work unchanged.
 class SnapshotCsr {
  public:
-  SnapshotCsr() = default;
+  using Row = PatchArena::Row;
 
-  // Assembled by DeltaGraph; `touched` sorted ascending, `patch_off` spans
-  // `patch_adj` (and `patch_w` when the base is weighted).
-  SnapshotCsr(std::shared_ptr<const Csr> base, std::vector<vid_t> touched,
-              std::vector<eid_t> patch_off, std::vector<vid_t> patch_adj,
-              std::vector<weight_t> patch_w);
+  // The unpatched view of `base`.
+  explicit SnapshotCsr(std::shared_ptr<const Csr> base)
+      : SnapshotCsr(std::move(base), nullptr, {}, {}) {}
+
+  // Assembled by DeltaGraph; `touched` sorted ascending, rows[i] is the range
+  // of touched[i]'s adjacency in `arena` (null only when nothing is touched).
+  SnapshotCsr(std::shared_ptr<const Csr> base,
+              std::shared_ptr<const PatchArena> arena,
+              std::vector<vid_t> touched, std::vector<Row> rows);
 
   vid_t n() const noexcept { return base_->n(); }
   eid_t num_arcs() const noexcept { return arcs_; }
@@ -95,15 +162,13 @@ class SnapshotCsr {
 
   vid_t degree(vid_t v) const noexcept {
     const int s = slot(v);
-    return s < 0 ? base_->degree(v)
-                 : static_cast<vid_t>(patch_off_[s + 1] - patch_off_[s]);
+    return s < 0 ? base_->degree(v) : static_cast<vid_t>(row_len(s));
   }
 
   std::span<const vid_t> neighbors(vid_t v) const noexcept {
     const int s = slot(v);
     if (s < 0) return base_->neighbors(v);
-    return {patch_adj_.data() + patch_off_[s],
-            static_cast<std::size_t>(patch_off_[s + 1] - patch_off_[s])};
+    return {adj_ + rows_[s].begin, row_len(s)};
   }
 
   bool has_weights() const noexcept { return base_->has_weights(); }
@@ -112,29 +177,26 @@ class SnapshotCsr {
     PP_DCHECK(has_weights());
     const int s = slot(v);
     if (s < 0) return base_->weights(v);
-    return {patch_w_.data() + patch_off_[s],
-            static_cast<std::size_t>(patch_off_[s + 1] - patch_off_[s])};
+    return {w_ + rows_[s].begin, row_len(s)};
   }
 
   eid_t edge_begin(vid_t v) const noexcept {
     const int s = slot(v);
-    return s < 0 ? base_->edge_begin(v) : base_arcs_ + patch_off_[s];
+    return s < 0 ? base_->edge_begin(v) : base_arcs_ + rows_[s].begin;
   }
 
   eid_t edge_end(vid_t v) const noexcept {
     const int s = slot(v);
-    return s < 0 ? base_->edge_end(v) : base_arcs_ + patch_off_[s + 1];
+    return s < 0 ? base_->edge_end(v) : base_arcs_ + rows_[s].end;
   }
 
   vid_t edge_target(eid_t e) const noexcept {
-    return e < base_arcs_ ? base_->edge_target(e)
-                          : patch_adj_[static_cast<std::size_t>(e - base_arcs_)];
+    return e < base_arcs_ ? base_->edge_target(e) : adj_[e - base_arcs_];
   }
 
   weight_t edge_weight(eid_t e) const noexcept {
     if (e < base_arcs_) return base_->edge_weight(e);
-    return patch_w_.empty() ? 1.0f
-                            : patch_w_[static_cast<std::size_t>(e - base_arcs_)];
+    return w_ == nullptr ? 1.0f : w_[e - base_arcs_];
   }
 
   // Offset array of the *base* — kernels pass these addresses to the
@@ -143,7 +205,6 @@ class SnapshotCsr {
   const std::vector<eid_t>& offsets() const noexcept { return base_->offsets(); }
 
   bool has_edge(vid_t u, vid_t v) const noexcept;
-  vid_t max_degree() const noexcept;
   double avg_degree() const noexcept {
     return n() == 0 ? 0.0 : static_cast<double>(arcs_) / n();
   }
@@ -151,14 +212,18 @@ class SnapshotCsr {
   // Vertices whose adjacency differs from the sealed base (sorted).
   std::span<const vid_t> touched() const noexcept { return touched_; }
   const Csr& base() const noexcept { return *base_; }
+  // The arena holding the touched rows (null when nothing is touched).
+  const PatchArena* arena() const noexcept { return arena_.get(); }
 
   // Expands the patched view into a standalone CSR (compaction, checkpoints).
   Csr materialize() const;
 
  private:
-  // Index into the patch arrays, or -1 when v reads from the base.
+  friend class DeltaGraph;  // derives the next epoch's rows from these
+
+  // Index into touched_/rows_, or -1 when v reads from the base.
   int slot(vid_t v) const noexcept {
-    // Binary search over the (typically small) touched list.
+    // Binary search over the sorted touched list.
     std::size_t lo = 0, hi = touched_.size();
     while (lo < hi) {
       const std::size_t mid = (lo + hi) / 2;
@@ -171,14 +236,19 @@ class SnapshotCsr {
     return lo < touched_.size() && touched_[lo] == v ? static_cast<int>(lo) : -1;
   }
 
+  std::size_t row_len(int s) const noexcept {
+    return static_cast<std::size_t>(rows_[s].end - rows_[s].begin);
+  }
+
   std::shared_ptr<const Csr> base_;
+  std::shared_ptr<const PatchArena> arena_;
+  const vid_t* adj_ = nullptr;     // arena_->adj()
+  const weight_t* w_ = nullptr;    // arena_->weights(); null when unweighted
   eid_t base_arcs_ = 0;
   eid_t arcs_ = 0;
+  eid_t patched_arcs_ = 0;  // arcs held in rows_
   std::vector<vid_t> touched_;
-  std::vector<eid_t> patch_off_{0};
-  std::vector<vid_t> patch_adj_;
-  std::vector<weight_t> patch_w_;
-  mutable vid_t max_degree_cache_ = -1;
+  std::vector<Row> rows_;
 };
 
 static_assert(CsrLike<SnapshotCsr>);
@@ -188,7 +258,8 @@ static_assert(CsrLike<SnapshotCsr>);
 // A point-in-time GraphView over a DeltaGraph: push walks out(), pull walks
 // in(); for a symmetric graph both alias one SnapshotCsr. Immutable after
 // construction and safe to share across threads; holds shared ownership of
-// its base CSR(s), so later commits and compactions never invalidate it.
+// its base CSR(s) and patch arena(s), so later commits, arena restarts and
+// compactions never invalidate it.
 class SnapshotView {
  public:
   SnapshotView(std::shared_ptr<const SnapshotCsr> out,
@@ -258,19 +329,28 @@ class DeltaGraph {
 
   // Publish the staged updates as one batch, returning the new epoch. A
   // commit with nothing staged is a no-op returning the current epoch.
+  // Derives the new epoch's snapshot from the previous one outside the lock
+  // (O(touched) row references plus the batch's re-merged rows); the lock
+  // covers only the publish.
   epoch_t commit();
 
-  // Point-in-time view at the latest committed epoch / at `e`. Aborts when
-  // `e` predates the compaction floor or exceeds the committed epoch.
+  // Point-in-time view at the latest committed epoch / at `e`. The latest
+  // epoch's view is the one commit() published (a pointer copy); an older
+  // epoch is materialized from the overlay under the lock (O(overlay)).
+  // snapshot(e) aborts when `e` predates the compaction floor or exceeds the
+  // committed epoch; try_snapshot(e) returns nullopt instead, checking the
+  // window and taking the view atomically.
   SnapshotView snapshot() const;
   SnapshotView snapshot(epoch_t e) const;
+  std::optional<SnapshotView> try_snapshot(epoch_t e) const;
 
   // Merge the committed overlay into a fresh sealed base at the current
-  // committed epoch. Live SnapshotViews keep the old base alive; staged
-  // (uncommitted) updates survive and re-anchor onto the new base. After
-  // compaction, snapshots older than the compaction epoch can no longer be
-  // taken. The heavy merge runs outside the lock (a writer may keep staging
-  // concurrently); only the swap blocks readers.
+  // committed epoch and republish the latest snapshot on it. Live
+  // SnapshotViews keep the old base and arena alive; staged (uncommitted)
+  // updates survive and re-anchor onto the new base. After compaction,
+  // snapshots older than the compaction epoch can no longer be taken. The
+  // O(n + m) expansion of the published snapshot and the overlay rebase run
+  // outside the lock; only the swap blocks readers.
   void compact();
 
   // Committed batches with epoch > `since`, oldest first. `since` at or
@@ -279,12 +359,11 @@ class DeltaGraph {
 
   // How many commits landed after `since` — the serving layer's staleness
   // gauge: a query pinned to epoch e reports num_batches_since(e) as how far
-  // behind the live graph its answer is. Cheaper than batches_since (no
-  // update copies).
+  // behind the live graph its answer is. O(1).
   std::size_t num_batches_since(epoch_t since) const;
 
   // Visible arc count at the latest committed epoch (symmetric graphs count
-  // each edge twice, as Csr does).
+  // each edge twice, as Csr does). O(1): read off the published snapshot.
   eid_t num_arcs() const;
 
   // Diagnostics: live overlay entries not yet folded into the base.
@@ -324,6 +403,11 @@ class DeltaGraph {
   struct Side {
     std::shared_ptr<const Csr> base;
     std::unordered_map<vid_t, VertexOverlay> delta;
+    // The latest committed epoch's view of this side (swapped under the lock).
+    std::shared_ptr<const SnapshotCsr> published;
+    // Where commit() appends re-merged rows; writer-owned. Null until the
+    // first commit after construction or compaction.
+    std::shared_ptr<PatchArena> arena;
   };
 
   // Is arc (u, v) of `side` visible at epoch e? (lock held)
@@ -332,16 +416,36 @@ class DeltaGraph {
   void stage_insert(Side& side, vid_t u, vid_t v, weight_t w, epoch_t e);
   void stage_remove(Side& side, vid_t u, vid_t v, epoch_t e);
 
-  // Materialize one side at epoch e. (lock held)
+  // Does the overlay make a vertex's adjacency at epoch e differ from the base?
+  static bool differs(const VertexOverlay& ov, epoch_t e);
+  // Length of a vertex's merged row at epoch e.
+  static std::size_t merged_degree(const Csr& base, vid_t v,
+                                   const VertexOverlay& ov, epoch_t e);
+  // Appends v's merged row at epoch e to `arena` and returns its range — the
+  // one merge routine behind both derivation and the historic path.
+  static PatchArena::Row append_merged(PatchArena& arena, const Csr& base,
+                                       vid_t v, const VertexOverlay& ov,
+                                       epoch_t e);
+
+  // Derive one side's view at epoch e from its published view at e − 1,
+  // re-merging the rows of `changed` (sorted, unique) and referencing every
+  // other touched row where it already lies. When the re-merged rows do not
+  // fit the arena, a new one of twice the live patched arcs is started and
+  // the live rows are copied into it. (writer thread; no lock needed)
+  std::shared_ptr<const SnapshotCsr> derive_side(Side& side,
+                                                 std::span<const vid_t> changed,
+                                                 epoch_t e);
+  // Materialize one side at a historic epoch e into its own exactly-sized
+  // arena. (lock held)
   std::shared_ptr<const SnapshotCsr> materialize_side(const Side& side,
                                                       epoch_t e) const;
+  // Validated by the caller: e in [oldest_epoch_, epoch_]. (lock held)
   SnapshotView snapshot_locked(epoch_t e) const;
 
-  // Re-anchor one side's overlay onto a base sealed at epoch `at`. (lock held)
-  void rebase_side(Side& side, std::shared_ptr<const Csr> new_base, epoch_t at);
-
-  // Live overlay entries with the lock already held (commit/compact spans).
-  std::size_t overlay_entries_locked() const;
+  // One side's overlay re-anchored onto a base sealed at epoch `at`.
+  // (writer thread; reads only)
+  static std::unordered_map<vid_t, VertexOverlay> rebased_overlay(
+      const Side& side, epoch_t at);
 
   mutable std::mutex mu_;
   obs::Tracer* tracer_ = nullptr;
@@ -350,9 +454,11 @@ class DeltaGraph {
   epoch_t epoch_ = 0;         // latest committed
   epoch_t oldest_epoch_ = 0;  // the sealed base's epoch (compaction floor)
   Side out_;
-  Side in_;  // symmetric: in_.base aliases out_.base and in_.delta stays empty
+  Side in_;  // symmetric: in_ aliases out_'s base and published view, and
+             // in_.delta stays empty
   std::vector<EdgeUpdate> pending_;
-  std::vector<UpdateBatch> history_;
+  std::vector<UpdateBatch> history_;  // history_[i] is epoch i + 1's batch
+  std::size_t overlay_entries_ = 0;   // inserts + removals on both sides
 };
 
 // Flattens committed batches into one update list (the shape the incremental

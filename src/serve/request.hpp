@@ -62,8 +62,11 @@ struct QueryRequest {
   // Direction-strategy override for the traversal algorithms; the §5 generic
   // switch is the serving default, matching the standalone kernels.
   engine::StrategyKind policy = engine::StrategyKind::GenericSwitch;
-  // Epoch to pin: -1 = latest committed epoch at admission time. Any epoch
-  // in [oldest_epoch(), epoch()] is servable; older is BadRequest.
+  // Epoch to pin: -1 = the latest committed epoch at submit. Any epoch in
+  // [oldest_epoch(), epoch()] at submit is servable; outside it is
+  // BadRequest. submit() takes the pinned snapshot itself (the latest is a
+  // pointer copy, an older epoch is materialized then), so a compact() after
+  // admission cannot invalidate the query.
   epoch_t pin_epoch = -1;
   // Per-query budgets, 0 = unlimited. op_budget caps the admission price
   // (estimated engine operations); time_budget_s caps the estimated latency

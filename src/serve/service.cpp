@@ -56,22 +56,25 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
     return fut;
   }
 
-  // Pin the epoch: explicit pin or the latest committed epoch right now.
-  // Everything downstream — execution, caching, verification — names this
-  // epoch, so later commits cannot leak into the answer.
-  const epoch_t latest = graph_->epoch();
-  const epoch_t oldest = graph_->oldest_epoch();
-  p.epoch = req.pin_epoch < 0 ? latest : req.pin_epoch;
-  if (p.epoch < oldest || p.epoch > latest) {
+  // Pin the view: the latest published snapshot, or the explicitly pinned
+  // epoch's, checked and taken in one step so a concurrent compact() cannot
+  // slip between them. Everything downstream — execution, caching,
+  // verification — reads this view, so later commits cannot leak into the
+  // answer.
+  p.view = req.pin_epoch < 0 ? graph_->snapshot()
+                             : graph_->try_snapshot(req.pin_epoch);
+  if (!p.view) {
     reject_now(p, Reject::BadRequest,
-               "epoch " + std::to_string(p.epoch) + " outside snapshottable [" +
-                   std::to_string(oldest) + ", " + std::to_string(latest) + "]");
+               "epoch " + std::to_string(req.pin_epoch) +
+                   " outside snapshottable [" +
+                   std::to_string(graph_->oldest_epoch()) + ", " +
+                   std::to_string(graph_->epoch()) + "]");
     return fut;
   }
 
   // Cache: a hit is complete right here — same epoch means the cached
   // payload is bit-identical to recomputing it.
-  if (auto hit = cache_.find(make_cache_key(req, p.epoch))) {
+  if (auto hit = cache_.find(make_cache_key(req, p.epoch()))) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     m.counter("serve.cache.hits").inc();
     QueryResult r = *hit;  // payload copy; per-query fields refreshed below
@@ -81,20 +84,14 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
   m.counter("serve.cache.misses").inc();
 
-  // Price and admit. The arc count comes from the last executed snapshot
-  // (refreshing it per submit would serialize on the writer's mutex); the
-  // price is an estimate by construction, so staleness is acceptable.
-  eid_t arcs = arcs_hint_.load(std::memory_order_relaxed);
-  if (arcs == 0) {
-    arcs = graph_->num_arcs();
-    arcs_hint_.store(arcs, std::memory_order_relaxed);
-  }
+  // Price and admit on the pinned view's exact size.
   std::size_t queued;
   {
     std::lock_guard<std::mutex> lk(mu_);
     queued = queue_.size();
   }
-  AdmissionDecision d = admission_.admit(p.req, n, arcs, queued);
+  AdmissionDecision d =
+      admission_.admit(p.req, n, p.view->num_arcs(), queued);
   p.priced = d.priced_ops;
   if (!d.ok()) {
     reject_now(p, d.reject, std::move(d.detail));
@@ -110,7 +107,7 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
     ev.ts_ns = obs::now_ns();
     ev.mode = to_string(p.req.algo);
     ev.arg("qid", static_cast<double>(p.id))
-        .arg("epoch", static_cast<double>(p.epoch))
+        .arg("epoch", static_cast<double>(p.epoch()))
         .arg("priced_ops", static_cast<double>(p.priced));
     opt_.tracer->record(ev);
   }
@@ -140,47 +137,43 @@ void GraphService::worker_loop() {
     std::vector<Pending> batch;
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
-    const Pending& head = batch.front();
-
-    // Batching window: hold a single-source query open and merge compatible
-    // arrivals (same algorithm, epoch, policy) into its pass, up to
-    // max_lanes or until the window closes.
-    const bool batchable =
-        (head.req.algo == Algo::Bfs || head.req.algo == Algo::Sssp) &&
-        opt_.batch_window_us > 0 && opt_.max_lanes > 1;
-    if (batchable) {
-      const auto deadline =
-          clock::now() + std::chrono::microseconds(opt_.batch_window_us);
-      for (;;) {
-        for (auto it = queue_.begin();
-             it != queue_.end() &&
-             batch.size() < static_cast<std::size_t>(opt_.max_lanes);) {
-          if (it->req.algo == head.req.algo && it->epoch == head.epoch &&
-              it->req.policy == head.req.policy) {
-            batch.push_back(std::move(*it));
-            it = queue_.erase(it);
-          } else {
-            ++it;
-          }
-        }
-        if (stopping_ ||
-            batch.size() >= static_cast<std::size_t>(opt_.max_lanes) ||
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-          break;
-        }
-      }
-      // Window closed: one last harvest of anything that raced the timeout.
+    // The batch key, held by value: harvesting grows `batch`, and a
+    // reallocation would leave a reference to its head dangling.
+    const Algo algo = batch.front().req.algo;
+    const epoch_t epoch = batch.front().epoch();
+    const engine::StrategyKind policy = batch.front().req.policy;
+    const auto lanes = static_cast<std::size_t>(opt_.max_lanes);
+    // Move every queued query with the same key into the batch.
+    auto harvest = [&] {
       for (auto it = queue_.begin();
-           it != queue_.end() &&
-           batch.size() < static_cast<std::size_t>(opt_.max_lanes);) {
-        if (it->req.algo == head.req.algo && it->epoch == head.epoch &&
-            it->req.policy == head.req.policy) {
+           it != queue_.end() && batch.size() < lanes;) {
+        if (it->req.algo == algo && it->epoch() == epoch &&
+            it->req.policy == policy) {
           batch.push_back(std::move(*it));
           it = queue_.erase(it);
         } else {
           ++it;
         }
       }
+    };
+
+    // Batching window: hold a single-source query open and merge compatible
+    // arrivals (same algorithm, epoch, policy) into its pass, up to
+    // max_lanes or until the window closes.
+    const bool batchable = (algo == Algo::Bfs || algo == Algo::Sssp) &&
+                           opt_.batch_window_us > 0 && lanes > 1;
+    if (batchable) {
+      const auto deadline =
+          clock::now() + std::chrono::microseconds(opt_.batch_window_us);
+      for (;;) {
+        harvest();
+        if (stopping_ || batch.size() >= lanes ||
+            cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
+          break;
+        }
+      }
+      // Window closed: one last harvest of anything that raced the timeout.
+      harvest();
     }
     m.gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
     if (!queue_.empty()) cv_.notify_one();
@@ -191,18 +184,10 @@ void GraphService::worker_loop() {
 
 void GraphService::execute_batch(std::vector<Pending> batch) {
   auto& m = obs::MetricsRegistry::global();
-  const epoch_t e = batch.front().epoch;
-  // Best-effort compaction guard (see the header's pinning contract).
-  if (e < graph_->oldest_epoch()) {
-    for (Pending& p : batch) {
-      admission_.release(p.priced);
-      reject_now(p, Reject::BadRequest,
-                 "epoch " + std::to_string(e) + " compacted away");
-    }
-    return;
-  }
-  const SnapshotView view = graph_->snapshot(e);
-  arcs_hint_.store(view.num_arcs(), std::memory_order_relaxed);
+  // Every query in the batch pinned the same epoch; the head's view serves
+  // them all.
+  const SnapshotView& view = *batch.front().view;
+  const epoch_t e = view.epoch();
 
   const int k = static_cast<int>(batch.size());
   const Algo algo = batch.front().req.algo;
@@ -282,11 +267,11 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
   r.ok = true;
   r.reject = Reject::None;
   r.algo = p.req.algo;
-  r.epoch = p.epoch;
+  r.epoch = p.epoch();
   r.batch_lanes = lanes;
   r.from_cache = from_cache;
   r.priced_ops = p.priced;
-  r.behind_batches = graph_->num_batches_since(p.epoch);
+  r.behind_batches = graph_->num_batches_since(r.epoch);
   r.latency_s = static_cast<double>(lat_ns) * 1e-9;
 
   m.histogram(metric_name(p.req.algo, "latency")).record(lat_ns);
@@ -295,7 +280,7 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
   if (!from_cache) {
     admission_.release(p.priced);
     admission_.observe(p.priced, r.latency_s);
-    cache_.insert(make_cache_key(p.req, p.epoch),
+    cache_.insert(make_cache_key(p.req, r.epoch),
                   std::make_shared<const QueryResult>(r));
   }
   if (obs::tracing(opt_.tracer)) {
@@ -307,7 +292,7 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
     ev.dur_ns = lat_ns;
     ev.mode = to_string(p.req.algo);
     ev.arg("qid", static_cast<double>(p.id))
-        .arg("epoch", static_cast<double>(p.epoch))
+        .arg("epoch", static_cast<double>(r.epoch))
         .arg("lanes", static_cast<double>(lanes))
         .arg("cached", from_cache ? 1.0 : 0.0)
         .arg("behind_batches", static_cast<double>(r.behind_batches));
@@ -323,7 +308,7 @@ void GraphService::reject_now(Pending& p, Reject why, std::string detail) {
   r.reject = why;
   r.reject_detail = std::move(detail);
   r.algo = p.req.algo;
-  r.epoch = p.epoch;
+  r.epoch = p.epoch();
   r.latency_s = static_cast<double>(obs::now_ns() - p.t_submit_ns) * 1e-9;
   rejected_.fetch_add(1, std::memory_order_relaxed);
   m.counter("serve.rejected").inc();

@@ -3,26 +3,25 @@
 // One resident DeltaGraph, one writer (outside the service) committing
 // batches, many concurrent callers submitting QueryRequests. The lifecycle:
 //
-//   submit ── validate ── pin epoch ── cache? ── admit ── enqueue
-//                                        │hit               │
-//                                        ▼                  ▼ worker pool
-//                                     future            batch window
-//                                                           │
-//                                               snapshot(epoch) once
-//                                                           │
-//                                          1 lane: standalone kernel
-//                                          k lanes: multi-source pass
-//                                                           │
-//                                           complete: metrics, cache,
-//                                           admission release, future
+//   submit ── validate ── pin view ── cache? ── admit ── enqueue
+//                                      │hit                │
+//                                      ▼                   ▼ worker pool
+//                                   future            batch window
+//                                                          │
+//                                         1 lane: standalone kernel
+//                                         k lanes: multi-source pass
+//                                                          │
+//                                          complete: metrics, cache,
+//                                          admission release, future
 //
-// Epoch-pinning contract: the result's `epoch` field names the snapshot the
-// payload was computed on; the payload is bit-identical to a standalone run
-// on snapshot(epoch) no matter how many commits the writer landed meanwhile
-// (they only make `behind_batches` grow). Compaction is the one operation
-// that can invalidate a pin: callers must not compact() past an epoch with
-// in-flight pinned queries (the service downgrades such queries to
-// BadRequest when it catches them, but the check is best-effort).
+// Epoch-pinning contract: submit() takes the SnapshotView itself — the
+// latest published view (a pointer copy), or the explicitly pinned epoch's —
+// and the query carries it to execution, so workers never take a snapshot
+// themselves. The result's `epoch` field names that view; the payload is
+// bit-identical to a standalone run on the graph at that epoch no matter how
+// many commits (or compactions) the writer landed meanwhile: they only make
+// `behind_batches` grow. A pin outside [oldest_epoch(), epoch()] at submit
+// time is a BadRequest; an admitted query runs unless the service stops.
 #pragma once
 
 #include <atomic>
@@ -32,6 +31,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -95,10 +95,12 @@ class GraphService {
   struct Pending {
     std::uint64_t id = 0;
     QueryRequest req;
-    epoch_t epoch = -1;
+    std::optional<SnapshotView> view;  // pinned at submit
     std::uint64_t priced = 0;
     std::uint64_t t_submit_ns = 0;
     std::promise<QueryResult> promise;
+
+    epoch_t epoch() const { return view ? view->epoch() : -1; }
   };
 
   void worker_loop();
@@ -120,9 +122,6 @@ class GraphService {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
   std::atomic<std::uint64_t> next_id_{0};
-  // Arc count of the last executed snapshot: the admission pricer's graph
-  // size, refreshed by workers so submit() never touches the writer's mutex.
-  std::atomic<eid_t> arcs_hint_{0};
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> admitted_{0};

@@ -1,14 +1,20 @@
 // DeltaGraph: the versioned mutable store behind SnapshotView. Covers the
 // writer API edge cases (duplicates, absent deletes, self-loops), epoch
 // history, snapshot equivalence against statically built CSRs across the
-// zoos, kernel bit-identity on SnapshotView vs the static views, compaction
-// under live snapshots, and a concurrent writer/reader pass that the TSan CI
-// job runs.
+// zoos, the published (derived-at-commit) path under long churn with arena
+// restarts and compactions, kernel bit-identity on SnapshotView vs the
+// static views, compaction under live snapshots, and a concurrent
+// writer/reader pass that the TSan CI job runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <deque>
+#include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -236,6 +242,180 @@ TEST(DeltaGraph, DigraphSnapshotKeepsTransposeConsistent) {
   }
 }
 
+// --- The published path under long churn -------------------------------------
+
+// Every stored arc (both directions on a symmetric store) with its weight.
+using ArcModel = std::map<std::pair<vid_t, vid_t>, weight_t>;
+
+// The CSR a static build of `model` produces: rows in (source, target) order.
+Csr static_rebuild(vid_t n, const ArcModel& model, bool weighted) {
+  std::vector<eid_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<vid_t> adj;
+  std::vector<weight_t> weights;
+  for (const auto& [arc, w] : model) {
+    ++offsets[static_cast<std::size_t>(arc.first) + 1];
+    adj.push_back(arc.second);
+    if (weighted) weights.push_back(w);
+  }
+  for (std::size_t v = 0; v < static_cast<std::size_t>(n); ++v) {
+    offsets[v + 1] += offsets[v];
+  }
+  return Csr(std::move(offsets), std::move(adj), std::move(weights));
+}
+
+ArcModel transposed(const ArcModel& model) {
+  ArcModel t;
+  for (const auto& [arc, w] : model) t.emplace(std::make_pair(arc.second, arc.first), w);
+  return t;
+}
+
+// Arc for arc and weight for weight.
+void expect_same_csr(const SnapshotCsr& got, const Csr& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.num_arcs(), want.num_arcs()) << where;
+  ASSERT_EQ(got.has_weights(), want.has_weights()) << where;
+  for (vid_t v = 0; v < want.n(); ++v) {
+    const auto a = got.neighbors(v);
+    const auto b = want.neighbors(v);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << where << " vertex " << v;
+    if (want.has_weights()) {
+      const auto wa = got.weights(v);
+      const auto wb = want.weights(v);
+      ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()))
+          << where << " weights of vertex " << v;
+    }
+    // Edge ids form one contiguous range per row and address the same arcs.
+    ASSERT_EQ(got.edge_end(v) - got.edge_begin(v), got.degree(v)) << where;
+    for (eid_t e = got.edge_begin(v); e < got.edge_end(v); ++e) {
+      const auto k = static_cast<std::size_t>(e - got.edge_begin(v));
+      ASSERT_EQ(got.edge_target(e), a[k]) << where;
+      if (want.has_weights()) {
+        ASSERT_EQ(got.edge_weight(e), got.weights(v)[k]) << where;
+      }
+    }
+  }
+}
+
+// 600 commits of inserts and deletes with a compact() every 100. After every
+// commit the published snapshot must equal a static rebuild of the model on
+// both sides (the in-side is the transpose); views captured along the way
+// must still read their own epoch after arena restarts and compactions, and
+// so must snapshot(e) for every epoch since the last compaction.
+void long_churn(DeltaGraph& dg, ArcModel model, bool weighted,
+                std::uint64_t seed, const std::string& name) {
+  const vid_t n = dg.n();
+  const bool symmetric = dg.is_symmetric();
+  std::mt19937_64 rng(seed);
+  struct Captured {
+    SnapshotView view;
+    Csr out;
+    Csr in;
+  };
+  std::vector<Captured> captured;
+  // A new arena is allocated while the published view still holds the old
+  // one, so a changed address between consecutive commits is a restart.
+  const PatchArena* arena = nullptr;
+  int restarts = 0;
+  constexpr int kCommits = 600;
+  constexpr int kCompactEvery = 100;
+  for (int c = 1; c <= kCommits; ++c) {
+    for (int i = 0; i < 8; ++i) {
+      const vid_t u = static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n));
+      const vid_t v = static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n));
+      if ((rng() & 1u) != 0) {
+        const weight_t w = 0.5f * static_cast<weight_t>(1 + rng() % 16);
+        const bool fresh = !model.contains({u, v});
+        ASSERT_EQ(dg.add_edge(u, v, w), fresh) << name;
+        if (fresh) {
+          model[{u, v}] = w;
+          if (symmetric) model[{v, u}] = w;
+        }
+      } else {
+        // Delete an existing arc out of u (the next one at or after v).
+        const auto it = model.lower_bound({u, v});
+        if (it == model.end() || it->first.first != u) continue;
+        const vid_t t = it->first.second;
+        ASSERT_TRUE(dg.remove_edge(u, t)) << name;
+        model.erase({u, t});
+        if (symmetric) model.erase({t, u});
+      }
+    }
+    const epoch_t e = dg.commit();
+    const SnapshotView snap = dg.snapshot();
+    ASSERT_EQ(snap.epoch(), e);
+    const Csr out = static_rebuild(n, model, weighted);
+    const Csr in = static_rebuild(n, transposed(model), weighted);
+    const std::string where = name + " commit " + std::to_string(c);
+    expect_same_csr(snap.out(), out, where);
+    expect_same_csr(snap.in(), in, where + " (in-side)");
+    ASSERT_EQ(dg.num_arcs(), out.num_arcs()) << where;
+    if (snap.out().arena() != arena) {
+      ++restarts;
+      arena = snap.out().arena();
+    }
+    if (c % 25 == 0) captured.push_back(Captured{snap, out, in});
+    if (c % kCompactEvery == 0) {
+      dg.compact();
+      ASSERT_EQ(dg.oldest_epoch(), e);
+      ASSERT_EQ(dg.num_batches_since(e - kCompactEvery),
+                static_cast<std::size_t>(kCompactEvery));
+      const SnapshotView after = dg.snapshot();
+      expect_same_csr(after.out(), out, where + " after compact");
+      expect_same_csr(after.in(), in, where + " after compact (in-side)");
+    }
+  }
+  // Each arena holds at most twice its starting rows, so the churn must have
+  // restarted it several times between compactions.
+  EXPECT_GE(restarts, 2 * kCommits / kCompactEvery) << name;
+
+  for (const Captured& cap : captured) {
+    const std::string where =
+        name + " captured epoch " + std::to_string(cap.view.epoch());
+    expect_same_csr(cap.view.out(), cap.out, where);
+    expect_same_csr(cap.view.in(), cap.in, where + " (in-side)");
+    if (cap.view.epoch() >= dg.oldest_epoch()) {
+      const SnapshotView historic = dg.snapshot(cap.view.epoch());
+      expect_same_csr(historic.out(), cap.out, where + " historic");
+      expect_same_csr(historic.in(), cap.in, where + " historic (in-side)");
+    }
+  }
+}
+
+TEST(DeltaGraph, PublishedSnapshotsTrackLongChurnSymmetricWeighted) {
+  const auto& entry = pushpull::testing::weighted_zoo()[5];  // w_ba300
+  ASSERT_TRUE(entry.graph.has_weights());
+  ArcModel model;
+  for (vid_t v = 0; v < entry.graph.n(); ++v) {
+    const auto nb = entry.graph.neighbors(v);
+    const auto w = entry.graph.weights(v);
+    for (std::size_t k = 0; k < nb.size(); ++k) model[{v, nb[k]}] = w[k];
+  }
+  DeltaGraph dg{Csr(entry.graph)};
+  long_churn(dg, std::move(model), /*weighted=*/true, 21, entry.name);
+}
+
+TEST(DeltaGraph, PublishedSnapshotsTrackLongChurnDigraph) {
+  // The digraph zoo's R-MAT arcs, weighted so both sides carry weights.
+  const auto& zoo = pushpull::testing::digraph_zoo();
+  const auto it = std::find_if(zoo.begin(), zoo.end(),
+                               [](const auto& z) { return z.name == "rmat9"; });
+  ASSERT_NE(it, zoo.end());
+  const Csr& out = it->graph.out;
+  EdgeList edges;
+  ArcModel model;
+  for (vid_t v = 0; v < out.n(); ++v) {
+    for (const vid_t u : out.neighbors(v)) {
+      const weight_t w = static_cast<weight_t>(1 + (v * 31 + u) % 7);
+      edges.push_back(Edge{v, u, w});
+      model[{v, u}] = w;
+    }
+  }
+  DeltaGraph dg(build_digraph(out.n(), std::move(edges), /*keep_weights=*/true));
+  ASSERT_FALSE(dg.is_symmetric());
+  long_churn(dg, std::move(model), /*weighted=*/true, 22, it->name);
+}
+
 // Kernels must not be able to tell a SnapshotView from a statically built
 // view of the same graph: identical traversal order → bit-identical results.
 TEST(DeltaGraph, KernelsBitIdenticalToStaticViews) {
@@ -266,17 +446,36 @@ TEST(DeltaGraph, KernelsBitIdenticalToStaticViews) {
   }
 }
 
-// Writer staging/committing/compacting while another thread snapshots and
-// traverses — the TSan job runs this binary to certify the claimed thread
-// model (immutable snapshots, mutex-guarded writer state).
+// A frozen view's content, to re-check later that it never changed.
+std::uint64_t fingerprint(const SnapshotView& s) {
+  std::uint64_t h = static_cast<std::uint64_t>(s.num_arcs());
+  for (vid_t v = 0; v < s.n(); ++v) {
+    for (const vid_t u : s.out().neighbors(v)) {
+      h = h * 1000003u + static_cast<std::uint64_t>(u) * 7919u +
+          static_cast<std::uint64_t>(v);
+    }
+  }
+  return h;
+}
+
+// Writer staging/committing/compacting while reader threads snapshot,
+// traverse, and hold views across arena restarts and compactions — the TSan
+// job runs this binary to certify the claimed thread model (published
+// snapshots are immutable, arena rows are never rewritten, writer state is
+// mutex-guarded).
 TEST(DeltaGraph, ConcurrentWriterAndSnapshotReaders) {
   DeltaGraph dg(make_undirected(256, rmat_edges(8, 4, 99)));
   const vid_t n = dg.n();
   std::atomic<bool> stop{false};
+  std::atomic<int> reads{0};
 
   std::thread writer([&] {
     std::mt19937_64 rng(5);
-    for (int round = 0; round < 50; ++round) {
+    for (int round = 0; round < 160; ++round) {
+      // Interleave with the readers, so held views span arena restarts.
+      while (reads.load(std::memory_order_relaxed) < round / 2) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < 16; ++i) {
         const vid_t u = static_cast<vid_t>(rng() % n);
         const vid_t v = static_cast<vid_t>(rng() % n);
@@ -287,27 +486,48 @@ TEST(DeltaGraph, ConcurrentWriterAndSnapshotReaders) {
         }
       }
       dg.commit();
-      if (round % 8 == 7) dg.compact();
+      if (round % 32 == 31) dg.compact();
     }
     stop.store(true, std::memory_order_release);
   });
 
-  // do/while: at least one traversal runs even when the writer wins the
-  // scheduling race and finishes before the first stop check.
-  do {
-    const SnapshotView snap = dg.snapshot();
-    // A snapshot is frozen: within it, arc counts and adjacency agree no
-    // matter how far the writer has advanced in the meantime.
-    eid_t arcs = 0;
-    for (vid_t v = 0; v < n; ++v) {
-      arcs += snap.out().degree(v);
-      for (vid_t u : snap.out().neighbors(v)) {
-        ASSERT_TRUE(u >= 0 && u < n);
+  auto reader = [&] {
+    // A reader that leaves early (a failed ASSERT) must not stall the writer.
+    struct Release {
+      std::atomic<int>& reads;
+      ~Release() { reads.store(1 << 30); }
+    } release{reads};
+    // Views held across many commits: the oldest stays for the whole run.
+    std::deque<std::pair<SnapshotView, std::uint64_t>> held;
+    // do/while: at least one traversal runs even when the writer wins the
+    // scheduling race and finishes before the first stop check.
+    do {
+      const SnapshotView snap = dg.snapshot();
+      // A snapshot is frozen: within it, arc counts and adjacency agree no
+      // matter how far the writer has advanced in the meantime.
+      eid_t arcs = 0;
+      for (vid_t v = 0; v < n; ++v) {
+        arcs += snap.out().degree(v);
+        for (vid_t u : snap.out().neighbors(v)) {
+          ASSERT_TRUE(u >= 0 && u < n);
+        }
       }
-    }
-    ASSERT_EQ(arcs, snap.num_arcs());
-  } while (!stop.load(std::memory_order_acquire));
+      ASSERT_EQ(arcs, snap.num_arcs());
+      // The historic path races compaction; try_snapshot never aborts.
+      if (const auto prev = dg.try_snapshot(snap.epoch() - 1)) {
+        ASSERT_EQ(prev->epoch(), snap.epoch() - 1);
+      }
+      held.emplace_back(snap, fingerprint(snap));
+      if (held.size() > 8) held.erase(held.begin() + 1);
+      for (const auto& [view, fp] : held) ASSERT_EQ(fingerprint(view), fp);
+      reads.fetch_add(1, std::memory_order_relaxed);
+    } while (!stop.load(std::memory_order_acquire));
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
   writer.join();
+  r1.join();
+  r2.join();
 }
 
 }  // namespace

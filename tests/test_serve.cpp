@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <future>
+#include <map>
 #include <random>
 #include <thread>
 #include <vector>
@@ -137,6 +139,19 @@ TEST(DeltaGraphServe, NumBatchesSinceCountsCommits) {
   EXPECT_EQ(dg.num_batches_since(e0), 3u);
   EXPECT_EQ(dg.num_batches_since(dg.epoch()), 0u);
   EXPECT_EQ(dg.num_batches_since(e0 + 1), 2u);
+
+  // Compaction folds the overlay, not the history: counts are unchanged and
+  // keep following commits.
+  dg.compact();
+  EXPECT_EQ(dg.oldest_epoch(), dg.epoch());
+  EXPECT_EQ(dg.num_batches_since(e0), 3u);
+  EXPECT_EQ(dg.num_batches_since(dg.oldest_epoch()), 0u);
+  dg.add_edge(0, 20);
+  dg.commit();
+  EXPECT_EQ(dg.num_batches_since(e0), 4u);
+  EXPECT_EQ(dg.num_batches_since(dg.oldest_epoch()), 1u);
+  EXPECT_EQ(dg.num_batches_since(dg.epoch() + 5), 0u);
+  EXPECT_EQ(dg.batches_since(e0 + 1).size(), 3u);
 }
 
 // --- Service: snapshot pinning under a concurrent writer ---------------------
@@ -219,6 +234,81 @@ TEST(GraphServicePinning, ReadersSeePinnedEpochUnderConcurrentCommits) {
 
   stop_writer.store(true);
   writer.join();
+  svc.stop();
+}
+
+// The writer compacts while queries are queued. Each query took its view at
+// submit, so every one completes ok and equals a standalone run on the view
+// the test captured at that epoch: compaction never pulls an epoch out from
+// under an admitted query.
+TEST(GraphServicePinning, CompactWhileQueriesQueuedServesPinnedViews) {
+  DeltaGraph dg(testing::weighted_zoo()[3].graph);  // w_er200
+  const vid_t n = dg.n();
+  serve::ServiceOptions opt;
+  opt.workers = 1;
+  opt.batch_window_us = 2000;  // each head holds its worker: queries queue up
+  opt.cache_entries = 0;       // every query executes
+  GraphService svc(dg, opt);
+
+  std::map<epoch_t, SnapshotView> views{{dg.epoch(), dg.snapshot()}};
+  std::vector<QueryRequest> reqs;
+  std::vector<std::future<QueryResult>> futs;
+  std::mt19937_64 rng(11);
+  std::size_t queued_at_compaction = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 6; ++i) {
+      const vid_t u = static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n));
+      const vid_t v = static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n));
+      if (u == v) continue;
+      if ((rng() & 3u) != 0) {
+        dg.add_edge(u, v, 0.5f + static_cast<float>(rng() % 8));
+      } else {
+        dg.remove_edge(u, v);
+      }
+    }
+    dg.commit();
+    views.emplace(dg.epoch(), dg.snapshot());
+    for (int q = 0; q < 4; ++q) {
+      QueryRequest req;
+      req.algo = q % 2 == 0 ? Algo::Bfs : Algo::Sssp;
+      req.source = static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n));
+      reqs.push_back(req);
+      futs.push_back(svc.submit(req));
+    }
+    if (round % 5 == 4) {
+      queued_at_compaction += svc.stats().queue_depth;
+      dg.compact();
+    }
+  }
+  EXPECT_GT(queued_at_compaction, 0u);  // compactions really raced the queue
+
+  epoch_t oldest_answered = dg.epoch();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const QueryResult r = futs[i].get();
+    ASSERT_TRUE(r.ok) << r.reject_detail;
+    const auto it = views.find(r.epoch);
+    ASSERT_NE(it, views.end());
+    oldest_answered = std::min(oldest_answered, r.epoch);
+    if (r.algo == Algo::Bfs) {
+      EXPECT_EQ(r.levels, serve::run_bfs(it->second, reqs[i].source,
+                                         engine::StrategyKind::GenericSwitch))
+          << "query " << i << " epoch " << r.epoch;
+    } else {
+      EXPECT_EQ(r.dist, serve::run_sssp(it->second, reqs[i].source,
+                                        opt.sssp_delta,
+                                        engine::StrategyKind::GenericSwitch))
+          << "query " << i << " epoch " << r.epoch;
+    }
+  }
+  EXPECT_LT(oldest_answered, dg.oldest_epoch());
+
+  // A fresh pin below the floor is refused with a reason, never an abort.
+  QueryRequest stale;
+  stale.algo = Algo::Bfs;
+  stale.pin_epoch = oldest_answered;
+  const QueryResult r = svc.submit(stale).get();
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.reject, Reject::BadRequest);
   svc.stop();
 }
 
