@@ -40,8 +40,8 @@ inline void print_banner(const std::string& experiment, const std::string& claim
   std::printf("==========================================================================\n");
   std::printf("%s\n", experiment.c_str());
   std::printf("Paper claim: %s\n", claim.c_str());
-  std::printf("Threads: %d (2-core container; see EXPERIMENTS.md for caveats)\n",
-              omp_get_max_threads());
+  std::printf("Threads: %d on %d cpus (see EXPERIMENTS.md for caveats)\n",
+              omp_get_max_threads(), numa::topology().cpus);
   std::printf("==========================================================================\n");
 }
 
@@ -379,10 +379,10 @@ class JsonWriter {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-// Machine-topology stanza, stamped into every BENCH_*.json artifact: locality
-// numbers (blocked-pull speedups, NUMA cross-arc ratios) are meaningless
-// without the sockets / LLC size / hugepage state they were measured on, and
-// CI artifacts outlive the runner that produced them.
+// Machine-topology stanza, stamped into every BENCH_*.json artifact: timings
+// and scaling numbers are meaningless without the sockets / cpus / LLC size /
+// hugepage state they were measured on, and CI artifacts outlive the runner
+// that produced them.
 inline void add_machine_stanza(JsonWriter& json) {
   const numa::Topology& topo = numa::topology();
   json.add("machine.numa_nodes", static_cast<long long>(topo.nodes));
@@ -392,8 +392,6 @@ inline void add_machine_stanza(JsonWriter& json) {
            static_cast<long long>(topo.transparent_hugepages ? 1 : 0));
   json.add("machine.topology_from_sysfs",
            static_cast<long long>(topo.from_sysfs ? 1 : 0));
-  json.add("machine.numa_placement_compiled",
-           static_cast<long long>(numa::placement_enabled() ? 1 : 0));
   json.add("machine.omp_max_threads",
            static_cast<long long>(omp_get_max_threads()));
 }

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   bench::print_graph_line(bench::sm_graph_names(sm)[0] + "*", g);
 
   // Fixed source sample (seeded) — the paper uses full BC; we sample to keep
-  // the sweep in seconds on 2 cores.
+  // the sweep in seconds.
   std::vector<vid_t> sources;
   Rng rng(1234);
   for (int i = 0; i < num_sources; ++i) {
@@ -55,7 +55,9 @@ int main(int argc, char** argv) {
                    Table::num(pull.forward_s + pull.backward_s, 4)});
   }
   table.print();
-  std::printf("\nNote: T>2 is oversubscribed on this 2-core container; the "
-              "push-vs-pull ordering per row is the reproduced object.\n");
+  const int cpus = numa::topology().cpus;
+  std::printf("\nNote: the push-vs-pull ordering per row is the reproduced "
+              "object; rows with T>%d oversubscribe this %d-cpu machine.\n",
+              cpus, cpus);
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "core/connected_components.hpp"
 #include "core/frontier.hpp"
 #include "core/pagerank.hpp"
-#include "engine/blocked_view.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/policy.hpp"
 #include "graph/analogs.hpp"
@@ -204,37 +203,6 @@ void BM_PrIterationPullTracerOff(benchmark::State& state) {
 }
 BENCHMARK(BM_PrIterationPullTracerOff);
 
-// Blocked-pull sibling pair: the blocked executor threads the same stats/
-// tracer plumbing as the flat sweep, so the TracerOff row must satisfy the
-// same ≤2% parity contract against its NullTracer sibling.
-const engine::BlockedView<engine::SymmetricView>& micro_blocked() {
-  static const engine::BlockedView<engine::SymmetricView> bv(
-      engine::SymmetricView(micro_graph()), engine::BlockedOptions{.num_blocks = 4});
-  return bv;
-}
-
-void BM_PrIterationPullBlocked(benchmark::State& state) {
-  PageRankOptions opt;
-  opt.iterations = 1;
-  for (auto _ : state) {
-    auto pr = pagerank_pull(micro_blocked(), opt);
-    benchmark::DoNotOptimize(pr.data());
-  }
-  state.SetItemsProcessed(state.iterations() * micro_graph().num_arcs());
-}
-BENCHMARK(BM_PrIterationPullBlocked);
-
-void BM_PrIterationPullBlockedTracerOff(benchmark::State& state) {
-  PageRankOptions opt;
-  opt.iterations = 1;
-  for (auto _ : state) {
-    auto pr = pagerank_pull(micro_blocked(), opt, NullInstr{}, &disabled_tracer());
-    benchmark::DoNotOptimize(pr.data());
-  }
-  state.SetItemsProcessed(state.iterations() * micro_graph().num_arcs());
-}
-BENCHMARK(BM_PrIterationPullBlockedTracerOff);
-
 void BM_CcGreedySwitchTracerOff(benchmark::State& state) {
   const Csr& g = micro_graph();
   CcOptions opt;
@@ -298,41 +266,6 @@ void BM_EdgeMapDensePull(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.num_arcs());
 }
 BENCHMARK(BM_EdgeMapDensePull);
-
-// --- cache-blocked pull vs the flat dense sweep ------------------------------
-//
-// The same CcPropagate round through a BlockedView at several block counts:
-// the row-vs-row delta against BM_EdgeMapDensePull is the pure cost/benefit
-// of restricting each pass to one source-range column block. Counters report
-// the locality model's inputs: the cut-array overhead and the per-block
-// source-slice footprint that the LLC budget is sized against.
-
-void BM_EdgeMapBlockedPull(benchmark::State& state) {
-  const Csr& g = micro_graph();
-  engine::BlockedOptions bo;
-  bo.num_blocks = static_cast<int>(state.range(0));
-  const engine::BlockedView<engine::SymmetricView> bv(engine::SymmetricView(g),
-                                                      bo);
-  std::vector<vid_t> comp(static_cast<std::size_t>(g.n()));
-  engine::Workspace ws(g.n());
-  for (auto _ : state) {
-    for (vid_t v = 0; v < g.n(); ++v) comp[static_cast<std::size_t>(v)] = v;
-    auto out = engine::dense_pull(bv, ws,
-                                  detail::CcPropagate{comp.data(), nullptr});
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs());
-  vid_t widest = 0;
-  for (int b = 0; b < bv.num_blocks(); ++b) {
-    widest = std::max(widest, bv.block_end(b) - bv.block_begin(b));
-  }
-  state.counters["blocks"] = static_cast<double>(bv.num_blocks());
-  state.counters["cut_bytes"] =
-      static_cast<double>(bv.representation_cells() * sizeof(eid_t));
-  state.counters["block_src_bytes"] =
-      static_cast<double>(widest) * sizeof(double);
-}
-BENCHMARK(BM_EdgeMapBlockedPull)->Arg(1)->Arg(4)->Arg(16);
 
 // --- per_direction_thresholds: cached census vs O(n) scan --------------------
 //

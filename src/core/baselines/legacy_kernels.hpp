@@ -265,15 +265,10 @@ inline std::vector<vid_t> kcore(const Csr& g) {
 }
 
 // --- PageRank ----------------------------------------------------------------
-
-inline double pr_dangling_mass(const Csr& g, const std::vector<double>& pr) {
-  double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-  for (vid_t v = 0; v < g.n(); ++v) {
-    if (g.degree(v) == 0) dangling += pr[static_cast<std::size_t>(v)];
-  }
-  return dangling;
-}
+//
+// Oracle and engine take the dangling mass from the same
+// pushpull::detail::pr_dangling_mass, whose sum does not depend on the thread
+// count, so the two stay comparable bit for bit.
 
 inline std::vector<double> pagerank_pull(const Csr& g, const PageRankOptions& opt) {
   const vid_t n = g.n();
@@ -281,7 +276,7 @@ inline std::vector<double> pagerank_pull(const Csr& g, const PageRankOptions& op
   std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
   std::vector<double> next(static_cast<std::size_t>(n), 0.0);
   for (int l = 0; l < opt.iterations; ++l) {
-    const double dangling = pr_dangling_mass(g, pr);
+    const double dangling = pushpull::detail::pr_dangling_mass(g, pr);
     const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
 #pragma omp parallel for schedule(static)
     for (vid_t v = 0; v < n; ++v) {
@@ -302,7 +297,7 @@ inline std::vector<double> pagerank_push(const Csr& g, const PageRankOptions& op
   std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
   std::vector<double> next(static_cast<std::size_t>(n), 0.0);
   for (int l = 0; l < opt.iterations; ++l) {
-    const double dangling = pr_dangling_mass(g, pr);
+    const double dangling = pushpull::detail::pr_dangling_mass(g, pr);
     const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
 #pragma omp parallel
     {
@@ -334,7 +329,7 @@ inline std::vector<double> pagerank_push_pa(const Csr& g, const PartitionAwareCs
   std::vector<double> next(static_cast<std::size_t>(n), 0.0);
   const Partition1D& part = pa.partition();
   for (int l = 0; l < opt.iterations; ++l) {
-    const double dangling = pr_dangling_mass(g, pr);
+    const double dangling = pushpull::detail::pr_dangling_mass(g, pr);
     const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
 #pragma omp parallel num_threads(part.parts())
     {
@@ -565,11 +560,7 @@ inline std::vector<double> pagerank_digraph(const Digraph& g, int iterations,
   std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
   std::vector<double> next(static_cast<std::size_t>(n), 0.0);
   for (int l = 0; l < iterations; ++l) {
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      if (g.out.degree(v) == 0) dangling += pr[static_cast<std::size_t>(v)];
-    }
+    const double dangling = pushpull::detail::pr_dangling_mass(g.out, pr);
     const double base = (1.0 - damping) / n + damping * dangling / n;
 
     if (dir == Direction::Push) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/direction.hpp"
+#include "core/pagerank.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/graph_view.hpp"
 #include "engine/policy.hpp"
@@ -137,11 +138,7 @@ std::vector<double> pagerank_digraph(const View& view,
   engine::EdgeMapOptions emo;
   emo.track_output = false;
   for (int l = 0; l < opt.iterations; ++l) {
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      if (out.degree(v) == 0) dangling += pr[static_cast<std::size_t>(v)];
-    }
+    const double dangling = detail::pr_dangling_mass(out, pr);
     const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
 
     if (dir == Direction::Push) {

@@ -45,6 +45,7 @@
 
 #include "core/connected_components.hpp"
 #include "core/directed.hpp"
+#include "core/pagerank.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/graph_view.hpp"
 #include "graph/delta_graph.hpp"
@@ -184,11 +185,7 @@ PrFixpoint pagerank_converged(const View& view,
   emo.region = 81;
   emo.track_output = false;
   while (fix.iterations < opt.max_iterations) {
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      if (out.degree(v) == 0) dangling += fix.ranks[static_cast<std::size_t>(v)];
-    }
+    const double dangling = detail::pr_dangling_mass(out, fix.ranks);
     const double base =
         (1.0 - opt.damping) / n + opt.damping * dangling / n;
     engine::dense_pull(view, ws,

@@ -19,6 +19,7 @@
 // redistributed uniformly each iteration so ranks always sum to 1.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "engine/edge_map.hpp"
@@ -40,14 +41,27 @@ using IterTimes = std::vector<double>;
 
 namespace detail {
 
-// Shared per-iteration epilogue: base term + dangling redistribution.
+// The rank mass on dangling (degree-0) vertices, which every PageRank
+// variant redistributes uniformly each iteration. Fixed-size vertex blocks are
+// summed in vertex order and their partials combined in block order, so the
+// result is the same bits at any team width and schedule. An OpenMP
+// reduction(+) would fold per-thread partials in the order the threads finish.
 template <CsrLike G>
 inline double pr_dangling_mass(const G& g, const std::vector<double>& pr) {
-  double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-  for (vid_t v = 0; v < g.n(); ++v) {
-    if (g.degree(v) == 0) dangling += pr[static_cast<std::size_t>(v)];
+  constexpr std::size_t kBlock = 1024;
+  const std::size_t n = static_cast<std::size_t>(g.n());
+  std::vector<double> partial((n + kBlock - 1) / kBlock);
+#pragma omp parallel for schedule(static)
+  for (std::size_t b = 0; b < partial.size(); ++b) {
+    const std::size_t end = std::min(n, (b + 1) * kBlock);
+    double sum = 0.0;
+    for (std::size_t v = b * kBlock; v < end; ++v) {
+      if (g.degree(static_cast<vid_t>(v)) == 0) sum += pr[v];
+    }
+    partial[b] = sum;
   }
+  double dangling = 0.0;
+  for (const double p : partial) dangling += p;
   return dangling;
 }
 
@@ -231,43 +245,6 @@ std::vector<double> pagerank_push_pa(const Csr& g, const PartitionAwareCsr& pa,
         pa, ws,
         detail::PrScatter<PartitionAwareCsr>{&pa, pr.data(), next.data(),
                                              opt.damping},
-        emo, instr);
-    engine::vertex_map(
-        n, ws,
-        [&](auto& ctx, vid_t v) {
-          ctx.add(next[static_cast<std::size_t>(v)], base);
-          return false;
-        },
-        /*track=*/false, instr);
-    pr.swap(next);
-    std::fill(next.begin(), next.end(), 0.0);
-  }
-  return pr;
-}
-
-// Push+NUMA-Awareness (PartitionPolicy::NumaAware): the PA recipe at socket
-// granularity — one pinned lane per NUMA node over first-touch adjacency,
-// node-local scatters plain, cross-node scatters lock-accounted. Identical
-// arithmetic to pagerank_push_pa with a parts-per-node partition; only the
-// lane/memory placement differs.
-template <class Instr = NullInstr>
-std::vector<double> pagerank_push_numa(const Csr& g, const NumaAwareCsr& ng,
-                                       const PageRankOptions& opt,
-                                       Instr instr = {}) {
-  const vid_t n = g.n();
-  PP_CHECK(n > 0 && ng.n() == n);
-  std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
-  std::vector<double> next(static_cast<std::size_t>(n), 0.0);
-  engine::Workspace ws(n);
-  engine::EdgeMapOptions emo;
-  emo.region = 3;  // local half; the engine tags the cross half region+1
-  for (int l = 0; l < opt.iterations; ++l) {
-    const double dangling = detail::pr_dangling_mass(g, pr);
-    const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
-    engine::dense_push_numa(
-        ng, ws,
-        detail::PrScatter<NumaAwareCsr>{&ng, pr.data(), next.data(),
-                                        opt.damping},
         emo, instr);
     engine::vertex_map(
         n, ws,

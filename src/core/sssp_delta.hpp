@@ -96,9 +96,7 @@ struct SsspPushRelax {
 };
 
 // Pull relaxation: an unsettled vertex relaxes itself against bucket-b
-// neighbors (only those that changed last round, after round 0). Arc ids stay
-// global under every representation that reaches here (BlockedView blocks are
-// cuts into the parent arrays), so indexing the weight array by e is safe.
+// neighbors (only those that changed last round, after round 0).
 template <CsrLike G>
 struct SsspPullRelax {
   const G* g;

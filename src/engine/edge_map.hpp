@@ -47,7 +47,6 @@
 
 #include "core/direction.hpp"
 #include "core/frontier.hpp"
-#include "engine/blocked_view.hpp"
 #include "engine/context.hpp"
 #include "engine/frontier_index.hpp"
 #include "engine/graph_view.hpp"
@@ -59,7 +58,6 @@
 #include "sync/atomics.hpp"
 #include "sync/spinlock.hpp"
 #include "util/check.hpp"
-#include "util/numa.hpp"
 #include "util/timer.hpp"
 
 namespace pushpull::engine {
@@ -119,23 +117,12 @@ class Workspace {
     return *index_;
   }
 
-  // Byte-per-vertex scratch for the blocked pull executors: carries
-  // per-destination state across block passes (break functors: "already
-  // fired, skip later blocks"; multi-shot functors: "entered the output in an
-  // earlier block"). Lazy for the same reason as the dedup bitmap; the
-  // executor zeroes it before use, single-threaded.
-  std::vector<std::uint8_t>& pull_flags() {
-    if (pull_flags_.empty()) pull_flags_.assign(static_cast<std::size_t>(n_), 0);
-    return pull_flags_;
-  }
-
  private:
   vid_t n_;
   FrontierBuffers buffers_;
   SpinlockPool locks_;
   std::vector<std::uint8_t> seen_;
   std::unique_ptr<FrontierIndex> index_;
-  std::vector<std::uint8_t> pull_flags_;
 };
 
 namespace detail {
@@ -197,28 +184,21 @@ inline std::int64_t push_edges(const G& g, Workspace& ws, Ctx& ctx, F& f,
   return hits;
 }
 
-// Scans [e_begin, e_end) of d's in-arc row, calling update (with the
-// per-destination payload when defined); early-breaks on the functor's
-// kBreakOnUpdate. `first`/`last` gate the per-destination hooks so a blocked
-// sweep (K row segments per destination) runs begin_dest exactly once, before
-// any arc, and finalize exactly once, after all of them — the hook sequence a
-// single flat call produces. A functor's dest_data (if any) is re-evaluated
-// per segment, so it must be a pure read of destination state — true of every
-// engine functor, since dest_data exists to snapshot the destination before
-// its scan. Returns whether d enters the output set *as of this segment*.
+// Scans d's in-arc row, calling update (with the per-destination payload when
+// defined); early-breaks on the functor's kBreakOnUpdate. begin_dest runs
+// before the scan and finalize after it. Returns whether d enters the output
+// set.
 template <CsrLike G, class Ctx, class F, class Instr>
-inline std::pair<bool, std::int64_t> pull_edges_range(const G& in_csr,
-                                                      Ctx& ctx, F& f, vid_t d,
-                                                      eid_t e_begin, eid_t e_end,
-                                                      bool first, bool last,
-                                                      Instr& instr) {
+inline std::pair<bool, std::int64_t> pull_edges(const G& in_csr, Ctx& ctx,
+                                                F& f, vid_t d, Instr& instr) {
   if constexpr (requires { f.begin_dest(ctx, d); }) {
-    if (first) f.begin_dest(ctx, d);
+    f.begin_dest(ctx, d);
   }
   bool out = false;
   std::int64_t hits = 0;
+  const eid_t end = in_csr.edge_end(d);
   auto visit = [&](auto&&... payload) {
-    for (eid_t e = e_begin; e < e_end; ++e) {
+    for (eid_t e = in_csr.edge_begin(d); e < end; ++e) {
       const vid_t s = in_csr.edge_target(e);
       instr.branch_cond();
       if (f.update(ctx, s, d, e, payload...)) {
@@ -234,19 +214,9 @@ inline std::pair<bool, std::int64_t> pull_edges_range(const G& in_csr,
     visit();
   }
   if constexpr (requires { f.finalize(ctx, d); }) {
-    if (last) out = f.finalize(ctx, d);
+    out = f.finalize(ctx, d);
   }
   return {out, hits};
-}
-
-// Scans d's whole in-arc row (the flat pull shapes). Returns whether d enters
-// the output set.
-template <CsrLike G, class Ctx, class F, class Instr>
-inline std::pair<bool, std::int64_t> pull_edges(const G& in_csr, Ctx& ctx,
-                                                F& f, vid_t d, Instr& instr) {
-  return pull_edges_range(in_csr, ctx, f, d, in_csr.edge_begin(d),
-                          in_csr.edge_end(d), /*first=*/true, /*last=*/true,
-                          instr);
 }
 
 // Galloping search for the first arc index in (e, end) whose target is >= lim
@@ -288,20 +258,19 @@ inline eid_t skip_past_block(const G& in_csr, eid_t e, eid_t end, vid_t lim) {
 //     unread, which is where the Grossman-Kozyrakis win lives.
 //
 // update() runs only for arcs whose source bit is set either way. Hooks
-// (dest_data/begin_dest/finalize, kBreakOnUpdate) mirror pull_edges_range,
-// including the `first`/`last` gating for blocked row segments.
+// (dest_data/begin_dest/finalize, kBreakOnUpdate) mirror pull_edges.
 template <CsrLike G, class Ctx, class F, class Instr>
-inline std::pair<bool, std::int64_t> pull_edges_indexed_range(
+inline std::pair<bool, std::int64_t> pull_edges_indexed(
     const G& in_csr, const FrontierIndex& idx, Ctx& ctx, F& f, vid_t d,
-    eid_t e_begin, eid_t e_end, bool first, bool last, Instr& instr) {
+    Instr& instr) {
   if constexpr (requires { f.begin_dest(ctx, d); }) {
-    if (first) f.begin_dest(ctx, d);
+    f.begin_dest(ctx, d);
   }
   bool out = false;
   std::int64_t hits = 0;
-  const eid_t end = e_end;
+  const eid_t end = in_csr.edge_end(d);
   auto visit = [&](auto&&... payload) {
-    eid_t e = e_begin;
+    eid_t e = in_csr.edge_begin(d);
     // The block walk needs the row long enough to amortize its gallops: ~4
     // row arcs per touched block for the probes themselves, plus an absolute
     // floor — a short row streams through the filter walk faster than any
@@ -351,19 +320,9 @@ inline std::pair<bool, std::int64_t> pull_edges_indexed_range(
     visit();
   }
   if constexpr (requires { f.finalize(ctx, d); }) {
-    if (last) out = f.finalize(ctx, d);
+    out = f.finalize(ctx, d);
   }
   return {out, hits};
-}
-
-// Whole-row indexed scan (the flat frontier_pull shape).
-template <CsrLike G, class Ctx, class F, class Instr>
-inline std::pair<bool, std::int64_t> pull_edges_indexed(
-    const G& in_csr, const FrontierIndex& idx, Ctx& ctx, F& f, vid_t d,
-    Instr& instr) {
-  return pull_edges_indexed_range(in_csr, idx, ctx, f, d, in_csr.edge_begin(d),
-                                  in_csr.edge_end(d), /*first=*/true,
-                                  /*last=*/true, instr);
 }
 
 template <class Ctx, CsrLike G, class F, class Instr>
@@ -421,103 +380,6 @@ VertexSet dense_push_impl(const G& g, Workspace& ws, const VertexSet* sources,
   if (opt.dedup_output) ws.unmark_all(out.ids());
   if (stats != nullptr) {
     stats->mode = Mode::DensePush;
-    stats->updates = updates;
-    stats->seconds = timer.elapsed_s();
-  }
-  return out;
-}
-
-// Blocked dense/frontier pull core: serial outer loop over the view's K
-// source-range blocks, one `omp for` destination sweep per block inside a
-// single parallel region (the implicit barrier between blocks orders the
-// cross-block flag handoff). Per destination, blocks arrive in ascending
-// source order and pull_edges_range gates begin_dest/finalize to the
-// first/last block, so the per-destination update sequence is exactly the
-// flat sweep's — results are bit-identical, and the functor still only ever
-// sees a PlainCtx (blocking moves arcs between loop iterations, never writes
-// between threads).
-template <bool Indexed, class Base, class F, class Instr>
-VertexSet blocked_pull_impl(const BlockedView<Base>& bv, Workspace& ws,
-                            const FrontierIndex* idx, F& f,
-                            const EdgeMapOptions& opt, Instr instr,
-                            EdgeMapStats* stats) {
-  WallTimer timer;
-  const Csr& in_csr = bv.in();
-  const vid_t n = bv.n();
-  const int k = bv.num_blocks();
-  constexpr bool kBreak = break_on_update<F>();
-  constexpr bool kFinal = requires(F& fn, PlainCtx<Instr>& c, vid_t dd) {
-    fn.finalize(c, dd);
-  };
-  // Cross-block per-destination state. finalize functors need none (the last
-  // block's finalize alone decides membership); break functors need a done
-  // flag so later blocks skip fired destinations; plain multi-shot functors
-  // need an OR of earlier blocks' membership for exactly-once output.
-  const bool need_flags = k > 1 && !kFinal && (kBreak || opt.track_output);
-  std::uint8_t* flags = nullptr;
-  if (need_flags) {
-    std::vector<std::uint8_t>& fl = ws.pull_flags();
-    std::fill(fl.begin(), fl.end(), std::uint8_t{0});
-    flags = fl.data();
-  }
-  std::int64_t updates = 0;
-#pragma omp parallel reduction(+ : updates)
-  {
-    PlainCtx<Instr> ctx(instr, ws.locks());
-    for (int b = 0; b < k; ++b) {
-      const bool first = b == 0;
-      const bool last = b == k - 1;
-      const eid_t* lo = bv.cut_row(b);
-      const eid_t* hi = bv.cut_row(b + 1);
-#pragma omp for schedule(dynamic, 256)
-      for (vid_t d = 0; d < n; ++d) {
-        if (!pass_cond(f, d)) continue;
-        if constexpr (kBreak) {
-          if (flags != nullptr && flags[static_cast<std::size_t>(d)] != 0) {
-            continue;  // fired in an earlier block
-          }
-        }
-        instr.code_region(opt.region);
-        std::pair<bool, std::int64_t> r;
-        if constexpr (Indexed) {
-          r = pull_edges_indexed_range(in_csr, *idx, ctx, f, d,
-                                       lo[static_cast<std::size_t>(d)],
-                                       hi[static_cast<std::size_t>(d)], first,
-                                       last, instr);
-        } else {
-          r = pull_edges_range(in_csr, ctx, f, d,
-                               lo[static_cast<std::size_t>(d)],
-                               hi[static_cast<std::size_t>(d)], first, last,
-                               instr);
-        }
-        updates += r.second;
-        if constexpr (kFinal) {
-          if (last && opt.track_output && r.first) ws.buffers().push_local(d);
-        } else if constexpr (kBreak) {
-          if (r.first) {
-            if (flags != nullptr) flags[static_cast<std::size_t>(d)] = 1;
-            if (opt.track_output) ws.buffers().push_local(d);
-          }
-        } else {
-          if (last) {
-            if (opt.track_output &&
-                (r.first || (flags != nullptr &&
-                             flags[static_cast<std::size_t>(d)] != 0))) {
-              ws.buffers().push_local(d);
-            }
-          } else if (r.first && flags != nullptr) {
-            flags[static_cast<std::size_t>(d)] = 1;
-          }
-        }
-      }
-      // The `omp for` barrier makes block b's flag writes visible to every
-      // thread's block b+1 sweep.
-    }
-  }
-  VertexSet out(n);
-  ws.buffers().merge_into(out.mutable_ids());
-  if (stats != nullptr) {
-    stats->mode = Mode::BlockedPull;
     stats->updates = updates;
     stats->seconds = timer.elapsed_s();
   }
@@ -755,79 +617,6 @@ VertexSet frontier_pull(const View& view, Workspace& ws,
                        stats);
 }
 
-// --- blocked pull (cache-blocked sweeps over a BlockedView) ------------------
-//
-// The dense pull-side sweeps run block-by-block when handed a BlockedView:
-// the scanned source window stays LLC-resident per block (blocked_view.hpp
-// has the model), the functor contract is unchanged, and results are
-// bit-identical to the flat shapes. Still PlainCtx — the zero-sync pull
-// invariant is preserved by construction. Stats report Mode::BlockedPull.
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet dense_pull(const BlockedView<Base>& bv, Workspace& ws, F&& f,
-                     const EdgeMapOptions& opt = {}, Instr instr = {},
-                     EdgeMapStats* stats = nullptr) {
-  return detail::blocked_pull_impl<false>(bv, ws, nullptr, f, opt, instr,
-                                          stats);
-}
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet frontier_pull(const BlockedView<Base>& bv, Workspace& ws,
-                        const FrontierIndex& idx, F&& f,
-                        const EdgeMapOptions& opt = {}, Instr instr = {},
-                        EdgeMapStats* stats = nullptr) {
-  return detail::blocked_pull_impl<true>(bv, ws, &idx, f, opt, instr, stats);
-}
-
-// Non-blocked shapes forward to the flat base CSRs: push walks the out-CSR,
-// sparse pull the in-CSR — blocking only changes the dense pull-side sweeps.
-// The explicit overloads also keep resolution unambiguous (BlockedView
-// satisfies both CsrLike and GraphView, which neither generic entry beats).
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet sparse_push(const BlockedView<Base>& bv, Workspace& ws,
-                      std::span<const vid_t> in, F&& f,
-                      const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_push(bv.out(), ws, in, std::forward<F>(f), opt, instr, stats);
-}
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet sparse_push(const BlockedView<Base>& bv, Workspace& ws,
-                      const VertexSet& in, F&& f,
-                      const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_push(bv.out(), ws, in.ids(), std::forward<F>(f), opt, instr,
-                     stats);
-}
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet dense_push(const BlockedView<Base>& bv, Workspace& ws,
-                     const VertexSet* sources, F&& f,
-                     const EdgeMapOptions& opt = {}, Instr instr = {},
-                     EdgeMapStats* stats = nullptr) {
-  return dense_push(bv.out(), ws, sources, std::forward<F>(f), opt, instr,
-                    stats);
-}
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet sparse_pull(const BlockedView<Base>& bv, Workspace& ws,
-                      std::span<const vid_t> dests, F&& f,
-                      const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_pull(bv.in(), ws, dests, std::forward<F>(f), opt, instr,
-                     stats);
-}
-
-template <class Base, class F, class Instr = NullInstr>
-VertexSet sparse_pull(const BlockedView<Base>& bv, Workspace& ws,
-                      const VertexSet& dests, F&& f,
-                      const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_pull(bv.in(), ws, dests.ids(), std::forward<F>(f), opt, instr,
-                     stats);
-}
-
 // --- partition-aware dense push (Algorithm 8) --------------------------------
 //
 // Threads iterate exactly their own partition: the local adjacency half gets
@@ -852,67 +641,6 @@ void dense_push_pa(const PartitionAwareCsr& pa, Workspace& ws, F&& f,
         instr.code_region(region);
         const std::span<const vid_t> targets =
             local ? pa.local_neighbors(s) : pa.remote_neighbors(s);
-        auto run = [&](auto&&... payload) {
-          for (vid_t d : targets) {
-            instr.branch_cond();
-            if (f.update(ctx, s, d, eid_t{-1}, payload...)) ++updates;
-          }
-        };
-        if constexpr (requires { f.source_data(ctx, s); }) {
-          run(f.source_data(ctx, s));
-        } else {
-          run();
-        }
-      }
-    };
-    {
-      PlainCtx<Instr> ctx(instr, ws.locks());
-      half(ctx, /*local=*/true, opt.region);
-    }
-#pragma omp barrier
-    if (opt.sync == Sync::StripedLock) {
-      LockCtx<Instr> ctx(instr, ws.locks());
-      half(ctx, /*local=*/false, opt.region + 1);
-    } else {
-      AtomicCtx<Instr> ctx(instr, ws.locks());
-      half(ctx, /*local=*/false, opt.region + 1);
-    }
-  }
-  if (stats != nullptr) {
-    stats->mode = Mode::DensePush;
-    stats->updates = updates;
-    stats->seconds = timer.elapsed_s();
-  }
-}
-
-// --- NUMA-aware dense push (Algorithm 8 at socket granularity) ---------------
-//
-// PartitionPolicy::NumaAware: one OpenMP lane per NUMA node, each pinned to
-// its node for the sweep (best-effort — a no-op without PUSHPULL_WITH_NUMA or
-// on single-node machines, where the split still exercises the exact code
-// path), iterating exactly the node's vertex range over the NumaAwareCsr's
-// first-touch-allocated split adjacency. Node-local targets get thread-owned
-// plain writes, a barrier, then cross-node targets pay the sync policy at
-// region+1 — synced-op counts attribute cross-socket touches exactly the way
-// dense_push_pa counts remote arcs. Edge ids are unavailable in the split
-// representation; the functor receives e = -1, as with PA.
-template <class F, class Instr = NullInstr>
-void dense_push_numa(const NumaAwareCsr& ng, Workspace& ws, F&& f,
-                     const EdgeMapOptions& opt = {}, Instr instr = {},
-                     EdgeMapStats* stats = nullptr) {
-  WallTimer timer;
-  const Partition1D& part = ng.partition();
-  std::int64_t updates = 0;
-#pragma omp parallel num_threads(part.parts()) reduction(+ : updates)
-  {
-    const int t = omp_get_thread_num();
-    numa::ScopedNodePin pin(t);
-    auto half = [&](auto& ctx, bool local, int region) {
-      for (vid_t s = part.begin(t); s < part.end(t); ++s) {
-        if (!detail::pass_source(f, s, static_cast<std::size_t>(s))) continue;
-        instr.code_region(region);
-        const std::span<const vid_t> targets =
-            local ? ng.local_neighbors(s) : ng.cross_neighbors(s);
         auto run = [&](auto&&... payload) {
           for (vid_t d : targets) {
             instr.branch_cond();

@@ -41,10 +41,6 @@ enum class Mode {
                  // frontier index: whole 64-source blocks with no active
                  // member are skipped, the rest filtered per-arc (Grossman &
                  // Kozyrakis's frontier-indexed pull). Still PlainCtx.
-  BlockedPull,   // dense/frontier pull over a BlockedView: the in-CSR is
-                 // walked as K source-range column blocks so the scanned
-                 // source window stays LLC-resident (engine/blocked_view.hpp).
-                 // Same functor, same PlainCtx, bit-identical results.
 };
 
 inline const char* to_string(Mode m) {
@@ -54,7 +50,6 @@ inline const char* to_string(Mode m) {
     case Mode::SparsePull: return "sparse-pull";
     case Mode::DensePush: return "dense-push";
     case Mode::FrontierPull: return "frontier-pull";
-    case Mode::BlockedPull: return "blocked-pull";
   }
   return "?";
 }
@@ -69,16 +64,6 @@ enum class Sync {
                 // Prim's relaxation, or writes the partition makes exclusive);
                 // same context as the PA local half. The writes still cross
                 // ownership and are counted as writes, just not synchronized.
-};
-
-// Adjacency representation for push sweeps.
-enum class PartitionPolicy {
-  Flat,            // one CSR, every update pays the sync policy
-  PartitionAware,  // Algorithm 8: local half plain, remote half synced
-  NumaAware,       // Algorithm 8 at socket granularity: per-node first-touch
-                   // segments (graph/partition_aware.hpp NumaAwareCsr), one
-                   // pinned lane per node, node-local writes plain and
-                   // cross-node writes synced (engine::dense_push_numa)
 };
 
 // Named policy bundles for benches and tests: the §5 strategy set as it

@@ -69,11 +69,7 @@ class VertexSet {
   bool test(vid_t v) const { return dense().test(v); }
 
   // Σ out-degrees of members — the GS work estimate for the next superstep.
-  // Excludes types that expose out_degree (views, including BlockedView,
-  // which is CsrLike on its pull side only) so the view overload below wins
-  // unambiguously and push cost is always the *out*-degree mass.
   template <CsrLike G>
-    requires(!requires(const G& g2, vid_t x) { g2.out_degree(x); })
   double out_degree_sum(const G& g) const {
     double sum = 0.0;
 #pragma omp parallel for reduction(+ : sum) schedule(static)

@@ -130,33 +130,4 @@ EdgeList with_uniform_weights(EdgeList edges, weight_t lo, weight_t hi,
   return edges;
 }
 
-std::vector<eid_t> build_source_range_cuts(
-    const Csr& in_csr, std::span<const vid_t> block_starts) {
-  const vid_t n = in_csr.n();
-  const std::size_t nz = static_cast<std::size_t>(n);
-  PP_CHECK(block_starts.size() >= 2);
-  PP_CHECK(block_starts.front() == 0);
-  PP_CHECK(block_starts.back() == n);
-  const std::size_t k = block_starts.size() - 1;
-  for (std::size_t b = 0; b + 1 < block_starts.size(); ++b) {
-    PP_CHECK(block_starts[b] <= block_starts[b + 1]);
-  }
-  std::vector<eid_t> cuts((k + 1) * nz);
-#pragma omp parallel for schedule(static)
-  for (vid_t d = 0; d < n; ++d) {
-    const eid_t end = in_csr.edge_end(d);
-    eid_t e = in_csr.edge_begin(d);
-    cuts[static_cast<std::size_t>(d)] = e;
-    // One merged walk per row: rows are sorted ascending, so each boundary's
-    // cut is found by advancing from the previous one.
-    for (std::size_t b = 1; b < k; ++b) {
-      const vid_t lim = block_starts[b];
-      while (e < end && in_csr.edge_target(e) < lim) ++e;
-      cuts[b * nz + static_cast<std::size_t>(d)] = e;
-    }
-    cuts[k * nz + static_cast<std::size_t>(d)] = end;
-  }
-  return cuts;
-}
-
 }  // namespace pushpull

@@ -1,8 +1,6 @@
-// Edge-list → CSR builder, plus the column-block cut construction consumed by
-// the cache-blocked pull view (engine/blocked_view.hpp).
+// Edge-list → CSR builder.
 #pragma once
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -47,23 +45,5 @@ void validate_digraph(const Digraph& g, const std::string& name);
 // Assigns uniformly random weights in [lo, hi) to an edge list (seeded).
 EdgeList with_uniform_weights(EdgeList edges, weight_t lo, weight_t hi,
                               std::uint64_t seed);
-
-// Source-range column blocks over an in-CSR (the BlockedView construction,
-// DESIGN.md §2 "Locality-aware views"). `block_starts` holds K+1 boundaries
-// over the source-id space (block b covers sources [block_starts[b],
-// block_starts[b+1]); block_starts.front() == 0, block_starts.back() == n).
-// Because every adjacency row is sorted ascending, the arcs of row d whose
-// sources fall in block b form one contiguous segment of the row — the block
-// structure therefore materializes as per-(block, row) cut offsets into the
-// *parent* arrays rather than copied adjacency, which preserves global arc
-// ids (and thereby edge weights) under blocked execution for free.
-//
-// Returns cuts of size (K+1)·n, laid out row-major by block:
-//   cuts[b·n + d]     = first arc of d's row with source >= block_starts[b]
-//   cuts[(b+1)·n + d] = one past d's last arc with source < block_starts[b+1]
-// so block b scans [cuts[b·n+d], cuts[(b+1)·n+d]) of the in-CSR. Row 0 equals
-// edge_begin(d), row K equals edge_end(d). One merged pass per row: O(m + nK).
-std::vector<eid_t> build_source_range_cuts(const Csr& in_csr,
-                                           std::span<const vid_t> block_starts);
 
 }  // namespace pushpull

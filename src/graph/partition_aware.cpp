@@ -1,9 +1,5 @@
 #include "graph/partition_aware.hpp"
 
-#include <omp.h>
-
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace pushpull {
@@ -40,55 +36,6 @@ PartitionAwareCsr::PartitionAwareCsr(const Csr& g, const Partition1D& part)
       } else {
         remote_adj_[static_cast<std::size_t>(rcur[v]++)] = u;
       }
-    }
-  }
-}
-
-NumaAwareCsr::NumaAwareCsr(const Csr& g, int nodes)
-    : n_(g.n()),
-      part_(g.n(), nodes > 0 ? nodes : std::max(1, numa::topology().nodes)) {
-  const vid_t n = n_;
-  local_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  cross_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (vid_t v = 0; v < n; ++v) {
-    const int owner = part_.owner(v);
-    for (vid_t u : g.neighbors(v)) {
-      if (part_.owner(u) == owner) {
-        ++local_offsets_[static_cast<std::size_t>(v) + 1];
-      } else {
-        ++cross_offsets_[static_cast<std::size_t>(v) + 1];
-      }
-    }
-  }
-  for (vid_t v = 0; v < n; ++v) {
-    local_offsets_[v + 1] += local_offsets_[v];
-    cross_offsets_[v + 1] += cross_offsets_[v];
-  }
-  local_adj_ = numa::FirstTouchArray<vid_t>(
-      static_cast<std::size_t>(local_offsets_.back()));
-  cross_adj_ = numa::FirstTouchArray<vid_t>(
-      static_cast<std::size_t>(cross_offsets_.back()));
-  // First-touch fill: one lane per node, pinned to its node (best-effort),
-  // writes exactly its own vertex range's adjacency segments — both segments
-  // of node p are contiguous because offsets are monotone over the 1D
-  // partition, so the pages each lane commits are the pages its node's push
-  // sweeps will read.
-#pragma omp parallel num_threads(part_.parts())
-  {
-    const int p = omp_get_thread_num();
-    numa::ScopedNodePin pin(p);
-    for (vid_t v = part_.begin(p); v < part_.end(p); ++v) {
-      eid_t lc = local_offsets_[static_cast<std::size_t>(v)];
-      eid_t cc = cross_offsets_[static_cast<std::size_t>(v)];
-      for (vid_t u : g.neighbors(v)) {
-        if (part_.owner(u) == p) {
-          local_adj_[static_cast<std::size_t>(lc++)] = u;
-        } else {
-          cross_adj_[static_cast<std::size_t>(cc++)] = u;
-        }
-      }
-      PP_DCHECK(lc == local_offsets_[static_cast<std::size_t>(v) + 1]);
-      PP_DCHECK(cc == cross_offsets_[static_cast<std::size_t>(v) + 1]);
     }
   }
 }

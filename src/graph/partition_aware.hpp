@@ -1,24 +1,11 @@
-// Partition-Aware graph representations (§5, strategy PA).
+// Partition-Aware graph representation (§5, strategy PA).
 //
-// PartitionAwareCsr: the adjacency array of each vertex v is split into a
-// *local* part (neighbors owned by t[v]) and a *remote* part (neighbors owned
-// by other threads). All local parts and all remote parts each form one
-// contiguous array with their own offsets, growing the representation from
-// n + 2m to 2n + 2m cells. The split lets push-based kernels update local
-// neighbors with plain stores and reserve atomics for remote neighbors only
-// (Algorithm 8).
-//
-// NumaAwareCsr: the same split generalized to socket granularity
-// (PartitionPolicy::NumaAware, DESIGN.md §2 "Locality-aware views"). The
-// vertex space is 1D-partitioned over the machine's NUMA nodes, each node's
-// adjacency segments live in first-touch storage written by a thread pinned
-// to that node (so a first-touch NUMA policy places them on the owning
-// socket's memory), and push kernels update node-local targets with plain
-// stores while cross-node targets pay the sync policy (engine::
-// dense_push_numa) — cross-*socket* arcs are attributed exactly the way PA
-// attributes remote arcs. Pinning and placement are best-effort: without
-// PUSHPULL_WITH_NUMA, or on a single-node machine, the structure (and any
-// count invariants over it) is identical and placement is simply moot.
+// The adjacency array of each vertex v is split into a *local* part (neighbors
+// owned by t[v]) and a *remote* part (neighbors owned by other threads). All
+// local parts and all remote parts each form one contiguous array with their
+// own offsets, growing the representation from n + 2m to 2n + 2m cells. The
+// split lets push-based kernels update local neighbors with plain stores and
+// reserve atomics for remote neighbors only (Algorithm 8).
 #pragma once
 
 #include <span>
@@ -27,7 +14,6 @@
 #include "graph/csr.hpp"
 #include "graph/partition.hpp"
 #include "graph/types.hpp"
-#include "util/numa.hpp"
 
 namespace pushpull {
 
@@ -72,65 +58,6 @@ class PartitionAwareCsr {
   std::vector<vid_t> local_adj_;
   std::vector<eid_t> remote_offsets_{0};
   std::vector<vid_t> remote_adj_;
-};
-
-class NumaAwareCsr {
- public:
-  NumaAwareCsr() = default;
-
-  // Splits `g` over `nodes` NUMA domains; nodes <= 0 means the detected
-  // topology's node count (util/numa.hpp). Tests pass an explicit count to
-  // exercise multi-node structure on single-node machines.
-  explicit NumaAwareCsr(const Csr& g, int nodes = 0);
-
-  vid_t n() const noexcept { return n_; }
-  int nodes() const noexcept { return part_.parts(); }
-  const Partition1D& partition() const noexcept { return part_; }
-
-  // Neighbors of v owned by v's own NUMA node.
-  std::span<const vid_t> local_neighbors(vid_t v) const noexcept {
-    const std::size_t i = static_cast<std::size_t>(v);
-    return {local_adj_.data() + local_offsets_[i],
-            static_cast<std::size_t>(local_offsets_[i + 1] - local_offsets_[i])};
-  }
-
-  // Neighbors of v owned by other NUMA nodes (the synced half).
-  std::span<const vid_t> cross_neighbors(vid_t v) const noexcept {
-    const std::size_t i = static_cast<std::size_t>(v);
-    return {cross_adj_.data() + cross_offsets_[i],
-            static_cast<std::size_t>(cross_offsets_[i + 1] - cross_offsets_[i])};
-  }
-
-  vid_t degree(vid_t v) const noexcept {
-    const std::size_t i = static_cast<std::size_t>(v);
-    return static_cast<vid_t>(local_offsets_[i + 1] - local_offsets_[i] +
-                              cross_offsets_[i + 1] - cross_offsets_[i]);
-  }
-
-  eid_t num_local_arcs() const noexcept {
-    return n_ > 0 ? local_offsets_[static_cast<std::size_t>(n_)] : 0;
-  }
-  eid_t num_cross_arcs() const noexcept {
-    return n_ > 0 ? cross_offsets_[static_cast<std::size_t>(n_)] : 0;
-  }
-
-  // 2n + 2m cells, like PA — the split is the same, only the granularity and
-  // the storage placement change.
-  std::size_t representation_cells() const noexcept {
-    return local_offsets_.size() + cross_offsets_.size() + local_adj_.size() +
-           cross_adj_.size();
-  }
-
- private:
-  vid_t n_ = 0;
-  Partition1D part_;
-  // Offsets are shared read-mostly metadata (plain vectors); the adjacency
-  // segments are the bulk and live in first-touch storage, each node's slice
-  // written by its own pinned thread during construction.
-  std::vector<eid_t> local_offsets_;
-  std::vector<eid_t> cross_offsets_;
-  numa::FirstTouchArray<vid_t> local_adj_;
-  numa::FirstTouchArray<vid_t> cross_adj_;
 };
 
 }  // namespace pushpull

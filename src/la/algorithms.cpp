@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/pagerank.hpp"
 #include "la/semiring.hpp"
 #include "la/spmv.hpp"
 #include "util/check.hpp"
@@ -16,13 +17,12 @@ std::vector<double> pagerank_la(const Csr& g, int iterations, double damping,
   std::vector<double> scaled(static_cast<std::size_t>(n));
   std::vector<double> y(static_cast<std::size_t>(n));
   for (int l = 0; l < iterations; ++l) {
-    double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
+    const double dangling = pushpull::detail::pr_dangling_mass(g, x);
+#pragma omp parallel for schedule(static)
     for (vid_t v = 0; v < n; ++v) {
       const vid_t d = g.degree(v);
       scaled[static_cast<std::size_t>(v)] =
           d > 0 ? x[static_cast<std::size_t>(v)] / d : 0.0;
-      if (d == 0) dangling += x[static_cast<std::size_t>(v)];
     }
     const double base = (1.0 - damping) / n + damping * dangling / n;
     if (dir == Direction::Pull) {

@@ -2,16 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #if defined(__linux__)
-#include <sched.h>
 #include <unistd.h>
-#endif
-
-#if defined(PUSHPULL_WITH_NUMA) && defined(PUSHPULL_HAVE_LIBNUMA)
-#include <numa.h>
 #endif
 
 namespace pushpull::numa {
@@ -27,26 +21,6 @@ std::string read_sysfs(const std::string& path) {
   std::fclose(f);
   buf[got] = '\0';
   return std::string(buf);
-}
-
-// Parses a cpulist string ("0-3,8,10-11") into cpu ids.
-std::vector<int> parse_cpulist(const std::string& s) {
-  std::vector<int> cpus;
-  const char* p = s.c_str();
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    const long lo = std::strtol(p, &end, 10);
-    if (end == p) break;
-    long hi = lo;
-    p = end;
-    if (*p == '-') {
-      hi = std::strtol(p + 1, &end, 10);
-      p = end;
-    }
-    for (long c = lo; c <= hi; ++c) cpus.push_back(static_cast<int>(c));
-    if (*p == ',') ++p;
-  }
-  return cpus;
 }
 
 // Parses a sysfs cache size string ("32768K", "8M") into bytes; 0 on failure.
@@ -67,36 +41,17 @@ Topology probe() {
   const long cpus = sysconf(_SC_NPROCESSORS_CONF);
   t.cpus = cpus > 0 ? static_cast<int>(cpus) : 1;
 #endif
-  t.cpu_node.assign(static_cast<std::size_t>(t.cpus), 0);
 
-  // Node structure. libnuma answers directly when compiled in and available;
-  // otherwise walk /sys/devices/system/node/node*/cpulist.
-#if defined(PUSHPULL_WITH_NUMA) && defined(PUSHPULL_HAVE_LIBNUMA)
-  if (numa_available() >= 0) {
-    t.nodes = numa_num_configured_nodes();
-    if (t.nodes < 1) t.nodes = 1;
-    for (int c = 0; c < t.cpus; ++c) {
-      const int nd = numa_node_of_cpu(c);
-      t.cpu_node[static_cast<std::size_t>(c)] = nd >= 0 ? nd : 0;
-    }
-    t.libnuma = true;
-    t.from_sysfs = true;
+  // Node structure: one /sys/devices/system/node/node<i> directory per node.
+  int nodes = 0;
+  while (!read_sysfs("/sys/devices/system/node/node" + std::to_string(nodes) +
+                     "/cpulist")
+              .empty()) {
+    ++nodes;
   }
-#endif
-  if (!t.libnuma) {
-    int nodes = 0;
-    for (;; ++nodes) {
-      const std::string list = read_sysfs("/sys/devices/system/node/node" +
-                                          std::to_string(nodes) + "/cpulist");
-      if (list.empty()) break;
-      for (const int c : parse_cpulist(list)) {
-        if (c >= 0 && c < t.cpus) t.cpu_node[static_cast<std::size_t>(c)] = nodes;
-      }
-    }
-    if (nodes > 0) {
-      t.nodes = nodes;
-      t.from_sysfs = true;
-    }
+  if (nodes > 0) {
+    t.nodes = nodes;
+    t.from_sysfs = true;
   }
 
   // Last-level cache: the largest cache reported for cpu0.
@@ -122,69 +77,6 @@ Topology probe() {
 const Topology& topology() {
   static const Topology t = probe();
   return t;
-}
-
-int current_node() {
-#if defined(__linux__)
-  const int cpu = sched_getcpu();
-  const Topology& t = topology();
-  if (cpu >= 0 && cpu < static_cast<int>(t.cpu_node.size())) {
-    return t.cpu_node[static_cast<std::size_t>(cpu)];
-  }
-#endif
-  return 0;
-}
-
-std::size_t default_llc_budget() {
-  const std::size_t llc = topology().llc_bytes;
-  return llc != 0 ? llc / 2 : std::size_t{16} << 20;
-}
-
-bool pin_current_thread_to_node(int node) {
-#if defined(__linux__)
-  if (!placement_enabled()) return false;
-  const Topology& t = topology();
-  if (node < 0 || t.nodes < 1) return false;
-  const int target = node % t.nodes;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  int members = 0;
-  for (int c = 0; c < t.cpus; ++c) {
-    if (t.cpu_node[static_cast<std::size_t>(c)] == target) {
-      CPU_SET(c, &set);
-      ++members;
-    }
-  }
-  if (members == 0) return false;
-  return sched_setaffinity(0, sizeof(set), &set) == 0;
-#else
-  (void)node;
-  return false;
-#endif
-}
-
-ScopedNodePin::ScopedNodePin(int node) {
-#if defined(__linux__)
-  if (!placement_enabled()) return;
-  static_assert(sizeof(cpu_set_t) <= sizeof(saved_));
-  cpu_set_t saved;
-  if (sched_getaffinity(0, sizeof(saved), &saved) != 0) return;
-  if (!pin_current_thread_to_node(node)) return;
-  std::memcpy(saved_, &saved, sizeof(saved));
-  saved_bytes_ = sizeof(saved);
-  active_ = true;
-#else
-  (void)node;
-#endif
-}
-
-ScopedNodePin::~ScopedNodePin() {
-#if defined(__linux__)
-  if (!active_) return;
-  cpu_set_t saved;
-  std::memcpy(&saved, saved_, sizeof(saved));
-  sched_setaffinity(0, saved_bytes_, &saved);
-#endif
 }
 
 }  // namespace pushpull::numa

@@ -1,136 +1,25 @@
-// Machine topology and NUMA-aware thread/memory placement.
+// Machine topology probe.
 //
-// The paper's §4.1 cost model prices remote accesses asymmetrically; on a
-// multi-socket shared-memory machine the same asymmetry shows up as
-// cross-socket cache-line traffic. This header gives the engine the three
-// primitives that asymmetry needs, with a fallback-first design so the code
-// compiles and runs identically on a single-socket CI container:
-//
-//   Topology   — NUMA node count, cpu→node map, last-level-cache size and
-//                transparent-hugepage status, parsed from sysfs (pure file
-//                reads, no library). When sysfs is absent (non-Linux,
-//                sandboxes) everything degrades to one node / one cpu.
-//   pinning    — sched_setaffinity-based best-effort thread→node pinning
-//                (plain glibc). ScopedNodePin saves and restores the caller's
-//                affinity mask so OpenMP pool threads are not permanently
-//                confined after a NUMA-aware kernel returns.
-//   first-touch — FirstTouchArray allocates without touching, so the thread
-//                that fills a segment commits its pages (the Linux first-touch
-//                policy places them on that thread's node).
-//
-// Build modes: the topology probe is always compiled (it also feeds the
-// BlockedView LLC budget and the bench machine stanza). The *placement*
-// actions — pinning and pinned first-touch fills — only act when the CMake
-// option PUSHPULL_WITH_NUMA is ON; OFF builds keep every code path but the
-// pin calls no-op, so results are bit-identical either way. When libnuma's
-// headers are present, -DPUSHPULL_WITH_NUMA=ON additionally uses
-// numa_node_of_cpu for the cpu→node map (PUSHPULL_HAVE_LIBNUMA); the sysfs
-// parse is the fallback, not a second code path to validate.
+// Bench artifacts stamp the machine they were measured on (NUMA node count,
+// cpu count, last-level-cache size and transparent-hugepage status) next to
+// every timing, because locality and scaling numbers mean little without it.
+// Topology is parsed from sysfs (pure file reads, no library). When sysfs is
+// absent (non-Linux, sandboxes) everything degrades to one node / one cpu.
 #pragma once
 
 #include <cstddef>
-#include <new>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace pushpull::numa {
 
 struct Topology {
   int nodes = 1;              // NUMA domains ("sockets" at this granularity)
   int cpus = 1;               // configured logical cpus
-  std::vector<int> cpu_node;  // cpu id -> owning node, size cpus
   std::size_t llc_bytes = 0;  // largest cache level found; 0 = unknown
   bool transparent_hugepages = false;  // THP not set to [never]
   bool from_sysfs = false;    // false: the single-node fallback defaults
-  bool libnuma = false;       // cpu→node map came from libnuma
 };
 
 // The machine topology, probed once on first use and cached for the process.
 const Topology& topology();
-
-// Whether placement actions (pinning, pinned first-touch) are compiled in.
-constexpr bool placement_enabled() noexcept {
-#ifdef PUSHPULL_WITH_NUMA
-  return true;
-#else
-  return false;
-#endif
-}
-
-// NUMA node of the calling thread's current cpu; 0 when unknown.
-int current_node();
-
-// Default LLC budget for cache-blocked views: half the detected last-level
-// cache (leaving room for the streamed adjacency), 16 MiB when undetected.
-std::size_t default_llc_budget();
-
-// Best-effort: confine the calling thread to `node`'s cpus. Returns false
-// (and changes nothing) when placement is disabled, the node is out of range,
-// or the syscall fails. `node` is taken modulo the topology's node count so
-// callers can pin "partition p" on machines with fewer nodes than partitions.
-bool pin_current_thread_to_node(int node);
-
-// RAII pin: saves the calling thread's affinity mask, pins to `node`, and
-// restores the saved mask on destruction. Inactive (no-op) whenever
-// pin_current_thread_to_node would fail.
-class ScopedNodePin {
- public:
-  explicit ScopedNodePin(int node);
-  ~ScopedNodePin();
-  ScopedNodePin(const ScopedNodePin&) = delete;
-  ScopedNodePin& operator=(const ScopedNodePin&) = delete;
-
-  bool active() const noexcept { return active_; }
-
- private:
-  bool active_ = false;
-  // Opaque saved cpu_set_t storage (kept out of the header to avoid leaking
-  // <sched.h> into every includer).
-  alignas(8) unsigned char saved_[128];
-  std::size_t saved_bytes_ = 0;
-};
-
-// Heap buffer of trivial T that is allocated but *not* touched: the thread
-// that first writes each page commits it, so a per-node fill loop places
-// segments on their owning nodes (the kernel's default first-touch policy).
-// Move-only; the empty state has data() == nullptr.
-template <class T>
-class FirstTouchArray {
-  static_assert(std::is_trivial_v<T>,
-                "first-touch fills skip constructors; T must be trivial");
-
- public:
-  FirstTouchArray() = default;
-  explicit FirstTouchArray(std::size_t count)
-      : data_(count != 0 ? static_cast<T*>(::operator new(count * sizeof(T)))
-                         : nullptr),
-        size_(count) {}
-  ~FirstTouchArray() { ::operator delete(data_); }
-
-  FirstTouchArray(FirstTouchArray&& o) noexcept
-      : data_(std::exchange(o.data_, nullptr)),
-        size_(std::exchange(o.size_, 0)) {}
-  FirstTouchArray& operator=(FirstTouchArray&& o) noexcept {
-    if (this != &o) {
-      ::operator delete(data_);
-      data_ = std::exchange(o.data_, nullptr);
-      size_ = std::exchange(o.size_, 0);
-    }
-    return *this;
-  }
-  FirstTouchArray(const FirstTouchArray&) = delete;
-  FirstTouchArray& operator=(const FirstTouchArray&) = delete;
-
-  T* data() noexcept { return data_; }
-  const T* data() const noexcept { return data_; }
-  std::size_t size() const noexcept { return size_; }
-  T& operator[](std::size_t i) noexcept { return data_[i]; }
-  const T& operator[](std::size_t i) const noexcept { return data_[i]; }
-
- private:
-  T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
 
 }  // namespace pushpull::numa

@@ -103,12 +103,12 @@ TEST_P(DirectedDiffSweep, PageRankMatchesLegacyOracle) {
         EXPECT_EQ(push[v], ref_push[v]) << name << " v" << v;
       }
     } else {
-      // Multithreaded, two unordered float folds remain — the OpenMP
-      // dangling-mass reduction (combine order is runtime-chosen, so even
-      // oracle-vs-oracle is not bitwise here) and push's racy FAA order.
-      // Documented tolerance: 1e-12.
+      // Multithreaded, pull stays bitwise: each destination folds its
+      // in-arcs in order and the dangling mass is summed in a fixed block
+      // order. Push's float adds are CAS loops that land in the order the
+      // threads choose (§4.1). Documented tolerance: 1e-12.
       for (std::size_t v = 0; v < ref_pull.size(); ++v) {
-        EXPECT_NEAR(pull[v], ref_pull[v], 1e-12) << name << " v" << v;
+        EXPECT_EQ(pull[v], ref_pull[v]) << name << " v" << v;
         EXPECT_NEAR(push[v], ref_pull[v], 1e-12) << name << " v" << v;
       }
     }

@@ -226,24 +226,6 @@ TEST_F(InstrFixture, EnginePullModesIssueZeroSyncOps) {
   EXPECT_EQ(pc.total().atomics, 0u);
   EXPECT_EQ(pc.total().locks, 0u);
   EXPECT_GT(pc.total().reads, 0u);
-
-  // Cache-blocked pull inherits the invariant: blocking re-orders which arcs
-  // a sweep reads, never how updates are applied — still PlainCtx, zero sync
-  // ops, in both the dense and the frontier-indexed shape.
-  const engine::BlockedView<engine::SymmetricView> bv(
-      engine::SymmetricView(g_), engine::BlockedOptions{.num_blocks = 7});
-  pc.reset();
-  engine::dense_pull(bv, ws, AllPrimsFunctor{ints.data(), dbls.data()},
-                     engine::EdgeMapOptions{}, CountingInstr(pc));
-  EXPECT_EQ(pc.total().atomics, 0u);
-  EXPECT_EQ(pc.total().locks, 0u);
-  EXPECT_GT(pc.total().reads, 0u);
-
-  pc.reset();
-  engine::frontier_pull(bv, ws, idx, AllPrimsFunctor{ints.data(), dbls.data()},
-                        engine::EdgeMapOptions{}, CountingInstr(pc));
-  EXPECT_EQ(pc.total().atomics, 0u);
-  EXPECT_EQ(pc.total().locks, 0u);
 }
 
 // Integer-add push functor: counts exactly one synchronized update per edge.
@@ -288,32 +270,6 @@ TEST_F(InstrFixture, EnginePushAtomicsEqualCrossOwnerUpdates) {
                      CountingInstr(pc));
   EXPECT_EQ(pc.total().locks, static_cast<std::uint64_t>(g_.num_arcs()));
   EXPECT_EQ(pc.total().atomics, 0u);
-}
-
-// The NUMA-aware split attributes synced ops to cross-*socket* arcs exactly
-// the way PA attributes them to cross-thread arcs: atomics == cross-node
-// arcs, plain writes == node-local arcs. Structure (and therefore counts) is
-// identical whether or not placement is compiled in or the machine actually
-// has four nodes — the partition is what decides local vs cross.
-TEST_F(InstrFixture, EngineNumaPushAtomicsEqualCrossNodeArcs) {
-  const NumaAwareCsr ng(g_, /*nodes=*/4);
-  EXPECT_EQ(ng.num_local_arcs() + ng.num_cross_arcs(), g_.num_arcs());
-  engine::Workspace ws(g_.n());
-  std::vector<std::int64_t> acc(static_cast<std::size_t>(g_.n()), 0);
-  PerfCounters pc(omp_get_max_threads());
-
-  engine::dense_push_numa(ng, ws, IntAddFunctor{acc.data()},
-                          engine::EdgeMapOptions{}, CountingInstr(pc));
-  EXPECT_EQ(pc.total().atomics,
-            static_cast<std::uint64_t>(ng.num_cross_arcs()));
-  EXPECT_EQ(pc.total().writes, static_cast<std::uint64_t>(ng.num_local_arcs()));
-  EXPECT_EQ(pc.total().locks, 0u);
-
-  // At socket granularity the split must agree arc-for-arc with a PA split
-  // over the same 1D partition — NumaAware generalizes PA, not replaces it.
-  const PartitionAwareCsr pa4(g_, Partition1D(g_.n(), 4));
-  EXPECT_EQ(ng.num_cross_arcs(), pa4.num_remote_arcs());
-  EXPECT_EQ(ng.num_local_arcs(), pa4.num_local_arcs());
 }
 
 // The engine's attribution carries into the new algorithms for free: CC pull

@@ -3,6 +3,7 @@
 // zoo, the multi-writer record path (exercised under TSan in CI), the metrics
 // registry, and the JsonWriter escaping fix.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <atomic>
 #include <cstdio>
@@ -290,7 +291,19 @@ TEST(TracerDifferential, KernelsBitIdenticalWithTracerOn) {
     const CcResult cc_on =
         connected_components(g, cc_opt, NullInstr{}, &t);
     EXPECT_EQ(cc_off.comp, cc_on.comp) << entry.name;
-    EXPECT_EQ(cc_off.rounds, cc_on.rounds) << entry.name;
+    // Push label propagation is chaotic: with several threads the round
+    // count depends on how updates interleave, not on the tracer. At one
+    // thread it depends only on the input, so the round counts are compared
+    // on a pair run there.
+    {
+      const int threads = omp_get_max_threads();
+      omp_set_num_threads(1);
+      const CcResult one_off = connected_components(g, cc_opt);
+      const CcResult one_on =
+          connected_components(g, cc_opt, NullInstr{}, &t);
+      omp_set_num_threads(threads);
+      EXPECT_EQ(one_off.rounds, one_on.rounds) << entry.name;
+    }
 
     const BfsResult bfs_off = bfs_direction_optimizing(g, 0);
     const BfsResult bfs_on =

@@ -4,7 +4,13 @@
 #include <cmath>
 #include <numeric>
 
+#include "core/directed.hpp"
+#include "core/incremental.hpp"
 #include "core/pagerank.hpp"
+#include "digraph_zoo.hpp"
+#include "engine/graph_view.hpp"
+#include "graph/analogs.hpp"
+#include "graph/builder.hpp"
 #include "graph/partition_aware.hpp"
 #include "graph_zoo.hpp"
 #include "la/algorithms.hpp"
@@ -138,6 +144,71 @@ TEST(PageRank, PushPaMatchesPushOnBipartiteAllRemote) {
   PageRankOptions opt;
   opt.iterations = 10;
   EXPECT_LT(max_abs_diff(pagerank_push_pa(g, pa, opt), pagerank_seq(g, opt)), kTol);
+}
+
+// True when each of `parts` equal ranges of [0, n) holds a vertex with no
+// out-arcs.
+bool dangling_in_every_part(const Csr& out, vid_t parts) {
+  const vid_t n = out.n();
+  for (vid_t p = 0; p < parts; ++p) {
+    bool found = false;
+    for (vid_t v = p * n / parts; v < (p + 1) * n / parts && !found; ++v) {
+      found = out.degree(v) == 0;
+    }
+    if (!found) return false;
+  }
+  return true;
+}
+
+// The dangling-mass sum is the only float fold that crosses threads in the
+// pull variants, and pr_dangling_mass fixes its order. So each pull variant
+// must return the same bits at every team width.
+TEST(PageRankThreadCount, PullVariantsBitwiseAtOneToFourThreads) {
+  const int saved = omp_get_max_threads();
+  const Csr rmat = ljn_analog(-2);
+  const Digraph rmat_dig = build_digraph(rmat.n(), rmat_edges(13, 4, 29));
+  const Digraph* sinks = nullptr;
+  for (const auto& [name, g] : testing::digraph_zoo()) {
+    if (name == "sink_heavy31") sinks = &g;
+  }
+  ASSERT_NE(sinks, nullptr);
+  // Dangling mass in every thread's static range at 2, 3 and 4 threads, so
+  // a sum whose order follows the threads would show.
+  for (const vid_t parts : {2, 3, 4}) {
+    ASSERT_TRUE(dangling_in_every_part(rmat, parts));
+    ASSERT_TRUE(dangling_in_every_part(rmat_dig.out, parts));
+  }
+  ASSERT_GE(rmat.n(), 4 * 1024);  // several 1024-vertex blocks of the sum
+
+  PageRankOptions opt;
+  opt.iterations = 20;
+  DirectedPageRankOptions dopt;
+  const engine::DigraphView sink_view(*sinks);
+  const engine::DigraphView rmat_view(rmat_dig);
+  auto run = [&] {
+    return std::vector<std::pair<const char*, std::vector<double>>>{
+        {"pagerank_pull", pagerank_pull(rmat, opt)},
+        {"pagerank_la",
+         la::pagerank_la(rmat, opt.iterations, opt.damping, Direction::Pull)},
+        {"digraph rmat", pagerank_digraph(rmat_view, dopt, Direction::Pull)},
+        {"digraph sink_heavy31",
+         pagerank_digraph(sink_view, dopt, Direction::Pull)},
+        {"converged rmat", pagerank_converged(engine::SymmetricView(rmat)).ranks},
+        {"converged rmat digraph", pagerank_converged(rmat_view).ranks},
+        {"converged sink_heavy31", pagerank_converged(sink_view).ranks},
+    };
+  };
+  omp_set_num_threads(1);
+  const auto ref = run();
+  for (const int threads : {2, 3, 4}) {
+    omp_set_num_threads(threads);
+    const auto got = run();
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      EXPECT_EQ(got[k].second, ref[k].second)
+          << ref[k].first << " at " << threads << " threads";
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 }  // namespace
