@@ -4,13 +4,15 @@
 // Paper result: push is faster in BMT and comparable in M, but slower in the
 // computationally dominant FM (write conflicts); overall pull wins ≈20%.
 //
-// --verify cross-checks the engine-rebased kernel against the frozen
-// pre-engine oracle (core/baselines/legacy_kernels.hpp) in both directions —
-// tree edges, bitwise weight sum and iteration count must all match — and
-// exits non-zero on any divergence (CI smoke-runs this).
+// --verify checks both directions against sequential Kruskal under Borůvka's
+// own (weight, canonical arc) tie-break: the same forest edge set, a weight
+// sum bitwise equal to kruskal_msf_weight, and the same iteration count for
+// push and pull. It exits non-zero on any divergence (CI smoke-runs this).
 // --json=FILE dumps the phase totals as a flat artifact.
+#include <algorithm>
+
 #include "bench_common.hpp"
-#include "core/baselines/legacy_kernels.hpp"
+#include "core/baselines/baselines.hpp"
 #include "core/mst_boruvka.hpp"
 
 using namespace pushpull;
@@ -25,23 +27,24 @@ double total_s(const BoruvkaResult& r) {
   return t;
 }
 
-// Engine result vs frozen oracle: bit-identical or bust.
-bool matches_legacy(const Csr& g, Direction dir, const BoruvkaResult& got) {
-  const legacy::BoruvkaRef want = legacy::mst_boruvka(g, dir);
-  if (got.tree_edges != want.tree_edges) {
-    std::printf("  !! %s: engine tree edges diverge from the legacy oracle "
+// Borůvka result vs the unique Kruskal forest: same edges, same weight bits.
+// The analog weights are floats in [1, 64), whose double sum is exact in any
+// order below 2^24 vertices, so the two sums agree bit for bit.
+bool matches_kruskal(const Csr& g, Direction dir, const BoruvkaResult& got) {
+  auto want = baseline::kruskal_msf_edges(g);
+  auto edges = got.tree_edges;
+  std::sort(want.begin(), want.end());
+  std::sort(edges.begin(), edges.end());
+  if (edges != want) {
+    std::printf("  !! %s: Boruvka forest differs from Kruskal's "
                 "(%zu vs %zu edges)\n",
-                to_string(dir), got.tree_edges.size(), want.tree_edges.size());
+                to_string(dir), edges.size(), want.size());
     return false;
   }
-  if (got.total_weight != want.total_weight) {
-    std::printf("  !! %s: engine MST weight %.17g != legacy %.17g\n",
-                to_string(dir), got.total_weight, want.total_weight);
-    return false;
-  }
-  if (got.iterations != want.iterations) {
-    std::printf("  !! %s: engine took %d Boruvka iterations, legacy %d\n",
-                to_string(dir), got.iterations, want.iterations);
+  const double want_weight = baseline::kruskal_msf_weight(g);
+  if (got.total_weight != want_weight) {
+    std::printf("  !! %s: Boruvka MST weight %.17g != Kruskal %.17g\n",
+                to_string(dir), got.total_weight, want_weight);
     return false;
   }
   return true;
@@ -102,15 +105,14 @@ int main(int argc, char** argv) {
 
   bool ok = true;
   if (verify) {
-    // Phase results must reproduce the frozen pre-engine loops exactly, and
-    // the two directions must agree with each other (canonical tie-break).
-    ok = matches_legacy(g, Direction::Push, push) &&
-         matches_legacy(g, Direction::Pull, pull) && ok;
-    if (push.total_weight != pull.total_weight) {
-      std::printf("  !! push and pull selected different forest weights\n");
+    ok = matches_kruskal(g, Direction::Push, push) &&
+         matches_kruskal(g, Direction::Pull, pull);
+    if (push.iterations != pull.iterations) {
+      std::printf("  !! push took %d Boruvka iterations, pull %d\n",
+                  push.iterations, pull.iterations);
       ok = false;
     }
-    std::printf("verify: engine Boruvka vs legacy oracle (push + pull): %s\n",
+    std::printf("verify: Boruvka push + pull vs Kruskal forest: %s\n",
                 ok ? "MATCH" : "DIVERGED");
     json.add_string("verify", ok ? "match" : "diverged");
   }

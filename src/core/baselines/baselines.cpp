@@ -1,8 +1,8 @@
 #include "core/baselines/baselines.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <queue>
-#include <stack>
 
 #include "core/baselines/union_find.hpp"
 #include "util/check.hpp"
@@ -79,29 +79,49 @@ std::vector<weight_t> bellman_ford(const Csr& g, vid_t src) {
   return dist;
 }
 
-double kruskal_msf_weight(const Csr& g) {
+namespace {
+
+struct WeightedEdge {
+  weight_t w;
+  vid_t u, v;
+};
+
+// Kruskal's accepted edges in acceptance order. Edges are collected in arc
+// id order, so the stable sort by weight orders ties by arc id.
+std::vector<WeightedEdge> kruskal_forest(const Csr& g) {
   PP_CHECK(g.has_weights());
-  struct E {
-    weight_t w;
-    vid_t u, v;
-  };
-  std::vector<E> edges;
+  std::vector<WeightedEdge> edges;
   edges.reserve(static_cast<std::size_t>(g.num_arcs() / 2));
   for (vid_t v = 0; v < g.n(); ++v) {
     const auto nb = g.neighbors(v);
     const auto w = g.weights(v);
     for (std::size_t i = 0; i < nb.size(); ++i) {
-      if (v < nb[i]) edges.push_back(E{w[i], v, nb[i]});
+      if (v < nb[i]) edges.push_back(WeightedEdge{w[i], v, nb[i]});
     }
   }
-  std::sort(edges.begin(), edges.end(),
-            [](const E& a, const E& b) { return a.w < b.w; });
+  std::stable_sort(
+      edges.begin(), edges.end(),
+      [](const WeightedEdge& a, const WeightedEdge& b) { return a.w < b.w; });
   UnionFind uf(g.n());
-  double total = 0.0;
-  for (const E& e : edges) {
-    if (uf.unite(e.u, e.v)) total += e.w;
+  std::vector<WeightedEdge> forest;
+  for (const WeightedEdge& e : edges) {
+    if (uf.unite(e.u, e.v)) forest.push_back(e);
   }
+  return forest;
+}
+
+}  // namespace
+
+double kruskal_msf_weight(const Csr& g) {
+  double total = 0.0;
+  for (const WeightedEdge& e : kruskal_forest(g)) total += e.w;
   return total;
+}
+
+std::vector<std::pair<vid_t, vid_t>> kruskal_msf_edges(const Csr& g) {
+  std::vector<std::pair<vid_t, vid_t>> out;
+  for (const WeightedEdge& e : kruskal_forest(g)) out.emplace_back(e.u, e.v);
+  return out;
 }
 
 double prim_msf_weight(const Csr& g) {
@@ -175,7 +195,7 @@ std::vector<std::int64_t> brute_force_triangles(const Csr& g) {
   return tc;
 }
 
-std::vector<double> brandes_bc(const Csr& g) {
+std::vector<double> brandes_bc(const Csr& g, std::span<const vid_t> sources) {
   const vid_t n = g.n();
   std::vector<double> bc(static_cast<std::size_t>(n), 0.0);
   std::vector<vid_t> dist(static_cast<std::size_t>(n));
@@ -183,7 +203,7 @@ std::vector<double> brandes_bc(const Csr& g) {
   std::vector<double> delta(static_cast<std::size_t>(n));
   std::vector<vid_t> order;  // vertices in non-decreasing BFS distance
   order.reserve(static_cast<std::size_t>(n));
-  for (vid_t s = 0; s < n; ++s) {
+  for (const vid_t s : sources) {
     std::fill(dist.begin(), dist.end(), vid_t{-1});
     std::fill(sigma.begin(), sigma.end(), 0.0);
     std::fill(delta.begin(), delta.end(), 0.0);
@@ -218,9 +238,46 @@ std::vector<double> brandes_bc(const Csr& g) {
       if (w != s) bc[static_cast<std::size_t>(w)] += delta[static_cast<std::size_t>(w)];
     }
   }
+  return bc;
+}
+
+std::vector<double> brandes_bc(const Csr& g) {
+  std::vector<vid_t> all(static_cast<std::size_t>(g.n()));
+  std::iota(all.begin(), all.end(), vid_t{0});
+  std::vector<double> bc = brandes_bc(g, all);
   // Undirected: each pair (s,t) was counted twice.
   for (double& x : bc) x /= 2.0;
   return bc;
+}
+
+std::vector<vid_t> kcore(const Csr& g) {
+  const vid_t n = g.n();
+  std::vector<vid_t> core(static_cast<std::size_t>(n), 0);
+  std::vector<vid_t> residual(static_cast<std::size_t>(n));
+  std::vector<std::uint8_t> alive(static_cast<std::size_t>(n), 1);
+  for (vid_t v = 0; v < n; ++v) residual[static_cast<std::size_t>(v)] = g.degree(v);
+
+  vid_t remaining = n;
+  vid_t k = 0;
+  while (remaining > 0) {
+    ++k;
+    for (;;) {
+      std::vector<vid_t> peeled;
+      for (vid_t v = 0; v < n; ++v) {
+        if (!alive[static_cast<std::size_t>(v)]) continue;
+        if (residual[static_cast<std::size_t>(v)] >= k) continue;
+        alive[static_cast<std::size_t>(v)] = 0;
+        core[static_cast<std::size_t>(v)] = k - 1;
+        peeled.push_back(v);
+      }
+      if (peeled.empty()) break;
+      remaining -= static_cast<vid_t>(peeled.size());
+      for (const vid_t v : peeled) {
+        for (const vid_t u : g.neighbors(v)) --residual[static_cast<std::size_t>(u)];
+      }
+    }
+  }
+  return core;
 }
 
 }  // namespace pushpull::baseline

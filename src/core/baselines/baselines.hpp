@@ -4,6 +4,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -30,6 +32,11 @@ std::vector<weight_t> bellman_ford(const Csr& g, vid_t src);
 // Kruskal: returns the total weight of the minimum spanning forest.
 double kruskal_msf_weight(const Csr& g);
 
+// Kruskal's forest as (u, v) pairs with u < v, in acceptance order. Edges
+// sort by (weight, arc id of u→v), which is Borůvka's canonical-arc
+// tie-break, so the forest is unique even under tied weights.
+std::vector<std::pair<vid_t, vid_t>> kruskal_msf_edges(const Csr& g);
+
 // Prim from each unvisited root: total minimum-spanning-forest weight.
 double prim_msf_weight(const Csr& g);
 
@@ -46,5 +53,13 @@ std::vector<std::int64_t> brute_force_triangles(const Csr& g);
 // Exact betweenness centrality via sequential Brandes. For undirected graphs
 // each unordered pair is counted once (result halved as usual).
 std::vector<double> brandes_bc(const Csr& g);
+
+// Brandes' dependency sums from the given sources only, not halved.
+std::vector<double> brandes_bc(const Csr& g, std::span<const vid_t> sources);
+
+// k-core decomposition by repeated peeling: for each threshold k, remove
+// every vertex whose residual degree is below k until none is left, then
+// raise k. core[v] is the largest k whose core still holds v.
+std::vector<vid_t> kcore(const Csr& g);
 
 }  // namespace pushpull::baseline

@@ -261,16 +261,19 @@ ColoringResult cr_color(const Csr& g, const ColoringOptions& opt) {
 
   // Step 2: every partition colors its interior in parallel; interior
   // vertices have all neighbors inside the partition or in the (already
-  // colored, now read-only) border.
+  // colored, now read-only) border. A team smaller than nparts (nested call,
+  // OMP_THREAD_LIMIT) runs partitions t, t + team, ...
 #pragma omp parallel num_threads(nparts)
   {
-    const int t = omp_get_thread_num();
+    const int team = omp_get_num_threads();
     std::vector<int> mark(static_cast<std::size_t>(g.max_degree()) + 2, -1);
     int stamp = 0;
-    for (vid_t v = part.begin(t); v < part.end(t); ++v) {
-      if (r.color[static_cast<std::size_t>(v)] >= 0) continue;
-      r.color[static_cast<std::size_t>(v)] =
-          detail::first_fit(g, r.color, v, mark, stamp++);
+    for (int p = omp_get_thread_num(); p < nparts; p += team) {
+      for (vid_t v = part.begin(p); v < part.end(p); ++v) {
+        if (r.color[static_cast<std::size_t>(v)] >= 0) continue;
+        r.color[static_cast<std::size_t>(v)] =
+            detail::first_fit(g, r.color, v, mark, stamp++);
+      }
     }
   }
 

@@ -30,7 +30,6 @@
 
 #include <omp.h>
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -83,15 +82,6 @@ class AvailMask {
   // with the sync policy of the traversal direction (and_mask).
   std::uint64_t& word_ref(vid_t v, int c) noexcept {
     return bits_[word_index(v, c)];
-  }
-
-  void clear_bit(vid_t v, int c) noexcept {
-    bits_[word_index(v, c)] &= strike_mask(c);
-  }
-
-  void clear_bit_atomic(vid_t v, int c) noexcept {
-    std::atomic_ref<std::uint64_t>(bits_[word_index(v, c)])
-        .fetch_and(strike_mask(c), std::memory_order_relaxed);
   }
 
   bool test(vid_t v, int c) const noexcept {
@@ -213,18 +203,21 @@ ColoringResult boman_color(const Csr& g, Direction dir, const ColoringOptions& o
 
     // Phase 1: seq_color_partition(P) for every partition in parallel. This
     // is the greedy interior step of Algorithm 6 — partition-sequential by
-    // construction, not a push/pull traversal.
+    // construction, not a push/pull traversal. A team smaller than nparts
+    // (nested call, OMP_THREAD_LIMIT) runs partitions t, t + team, ...
 #pragma omp parallel num_threads(nparts)
     {
-      const int t = omp_get_thread_num();
+      const int team = omp_get_num_threads();
       std::vector<std::uint64_t> scratch(avail.words_per_vertex());
-      for (vid_t v = part.begin(t); v < part.end(t); ++v) {
-        instr.code_region(40);
-        if (!need[static_cast<std::size_t>(v)]) continue;
-        const int c = detail::pick_color(g, avail, r.color, v, scratch, instr);
-        instr.write(&r.color[static_cast<std::size_t>(v)], sizeof(int));
-        atomic_store(r.color[static_cast<std::size_t>(v)], c);
-        need[static_cast<std::size_t>(v)] = 0;
+      for (int p = omp_get_thread_num(); p < nparts; p += team) {
+        for (vid_t v = part.begin(p); v < part.end(p); ++v) {
+          instr.code_region(40);
+          if (!need[static_cast<std::size_t>(v)]) continue;
+          const int c = detail::pick_color(g, avail, r.color, v, scratch, instr);
+          instr.write(&r.color[static_cast<std::size_t>(v)], sizeof(int));
+          atomic_store(r.color[static_cast<std::size_t>(v)], c);
+          need[static_cast<std::size_t>(v)] = 0;
+        }
       }
     }
 

@@ -153,7 +153,7 @@ std::vector<double> pagerank_digraph(const View& view,
             ctx.add(next[static_cast<std::size_t>(v)], base);
             return false;
           },
-          /*track=*/false, instr);
+          engine::VertexMapOptions{.track = false}, instr);
     } else {
       emo.region = 71;
       engine::dense_pull(view, ws,

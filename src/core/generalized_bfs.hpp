@@ -22,9 +22,8 @@
 //
 // Both directions accumulate from a vertex only while its counter is
 // positive, so with exact ready counts every required predecessor contributes
-// exactly once — which also makes the engine's fused per-edge push round
-// (fold + decrement per arc) fold-identical to the frozen two-phase original
-// in core/baselines/legacy_kernels.hpp.
+// exactly once — which is what lets the push round fold and decrement per
+// arc in one pass.
 #pragma once
 
 #include <algorithm>

@@ -11,8 +11,8 @@
 // empty degree ranges cost nothing (the empty-bucket skip).
 //
 // core[v] = the largest k such that v belongs to a subgraph in which every
-// vertex has degree ≥ k. The pre-bucketed peel is frozen as legacy::kcore
-// (core/baselines/legacy_kernels.hpp) and the two are asserted bit-identical.
+// vertex has degree ≥ k. Coreness is a unique fixed point, so the result is
+// asserted equal to the sequential peel baseline::kcore.
 #pragma once
 
 #include <algorithm>

@@ -18,9 +18,9 @@
 //                 edge emission) plus a dense vertex_map relabeling comp.
 //
 // Candidates are packed as (weight bits << 32 | canonical arc id), which
-// makes the minimum unique and both variants bit-deterministic — the engine
-// rebase is asserted bit-identical against legacy::mst_boruvka in
-// tests/test_mst.cpp.
+// makes the minimum unique and both variants bit-deterministic: the forest is
+// the one Kruskal selects under the same tie-break
+// (baseline::kruskal_msf_edges), as tests/test_mst.cpp asserts.
 #include "core/mst_boruvka.hpp"
 
 #include <omp.h>
@@ -307,7 +307,7 @@ BoruvkaResult run(const Csr& g, Direction dir, Instr instr) {
                 parent[static_cast<std::size_t>(comp[static_cast<std::size_t>(v)])];
             return false;
           },
-          /*track=*/false, instr);
+          engine::VertexMapOptions{.track = false}, instr);
       active.swap(next_active);
       phases.merge_s = t.elapsed_s();
     }

@@ -66,7 +66,7 @@ inline double pr_dangling_mass(const G& g, const std::vector<double>& pr) {
 }
 
 // Pull: fold r(u)/d(u) into new_pr[v] in neighbor order, then scale once —
-// the accumulation order matches the pre-engine kernel bit for bit.
+// the same per-vertex fold as pagerank_seq.
 template <CsrLike G>
 struct PrGather {
   const G* g;
@@ -218,7 +218,7 @@ std::vector<double> pagerank_push(const G& g, const PageRankOptions& opt,
           ctx.add(next[static_cast<std::size_t>(v)], base);
           return false;
         },
-        /*track=*/false, instr);
+        engine::VertexMapOptions{.track = false}, instr);
     pr.swap(next);
     std::fill(next.begin(), next.end(), 0.0);
   }
@@ -227,7 +227,7 @@ std::vector<double> pagerank_push(const G& g, const PageRankOptions& opt,
 
 // Push+Partition-Awareness (Algorithm 8): local neighbors first with plain
 // stores, a barrier, then remote neighbors with lock-accounted updates.
-// Threads iterate exactly their own partition so local writes cannot race.
+// Each partition is iterated by one thread, so local writes cannot race.
 template <class Instr = NullInstr>
 std::vector<double> pagerank_push_pa(const Csr& g, const PartitionAwareCsr& pa,
                                      const PageRankOptions& opt, Instr instr = {}) {
@@ -252,7 +252,7 @@ std::vector<double> pagerank_push_pa(const Csr& g, const PartitionAwareCsr& pa,
           ctx.add(next[static_cast<std::size_t>(v)], base);
           return false;
         },
-        /*track=*/false, instr);
+        engine::VertexMapOptions{.track = false}, instr);
     pr.swap(next);
     std::fill(next.begin(), next.end(), 0.0);
   }

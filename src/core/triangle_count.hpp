@@ -119,7 +119,7 @@ std::vector<std::int64_t> triangle_count_push(const Csr& g, Instr instr = {}) {
         tcp[static_cast<std::size_t>(v)] /= 2;
         return false;
       },
-      /*track=*/false, instr);
+      engine::VertexMapOptions{.track = false}, instr);
   return tc;
 }
 

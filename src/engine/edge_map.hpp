@@ -2,8 +2,8 @@
 //
 // One traversal engine under every shared-memory kernel: BFS, SSSP-Δ, BC,
 // PageRank and coloring conflict-detection in src/core/, the GAS engine in
-// src/gas/ and the SpMV/SpMSpV kernels in src/la/ all run through the four
-// loop shapes below. Kernels supply a small *functor* describing the per-edge
+// src/gas/ and the SpMV/SpMSpV kernels in src/la/ all run through the loop
+// shapes below. Kernels supply a small *functor* describing the per-edge
 // state change; the engine supplies the loops, the frontier machinery (the
 // k-filter via FrontierBuffers), the sync policy (through the update contexts
 // of context.hpp) and uniform operation counting.
@@ -126,6 +126,25 @@ class Workspace {
 };
 
 namespace detail {
+
+// The §4.8 rule, in one place: push walks the out-arcs, pull the in-arcs.
+template <EdgeMapGraph G>
+inline decltype(auto) push_csr(const G& g) {
+  if constexpr (GraphView<G>) {
+    return g.out();
+  } else {
+    return g;
+  }
+}
+
+template <EdgeMapGraph G>
+inline decltype(auto) pull_csr(const G& g) {
+  if constexpr (GraphView<G>) {
+    return g.in();
+  } else {
+    return g;
+  }
+}
 
 template <class F>
 inline bool pass_cond(F& f, vid_t v) {
@@ -390,84 +409,64 @@ VertexSet dense_push_impl(const G& g, Workspace& ws, const VertexSet* sources,
 
 // --- sparse push (frontier-driven, k-filter output) --------------------------
 
-template <CsrLike G, class F, class Instr = NullInstr>
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
 VertexSet sparse_push(const G& g, Workspace& ws, std::span<const vid_t> in,
                       F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
                       EdgeMapStats* stats = nullptr) {
+  const auto& out_csr = detail::push_csr(g);
   if (opt.dedup_output) ws.ensure_dedup();
   switch (opt.sync) {
     case Sync::StripedLock:
-      return detail::sparse_push_impl<LockCtx<Instr>>(g, ws, in, f, opt, instr,
-                                                      stats);
+      return detail::sparse_push_impl<LockCtx<Instr>>(out_csr, ws, in, f, opt,
+                                                      instr, stats);
     case Sync::Plain:
-      return detail::sparse_push_impl<PlainCtx<Instr>>(g, ws, in, f, opt,
+      return detail::sparse_push_impl<PlainCtx<Instr>>(out_csr, ws, in, f, opt,
                                                        instr, stats);
     case Sync::Atomic:
     default:
-      return detail::sparse_push_impl<AtomicCtx<Instr>>(g, ws, in, f, opt,
+      return detail::sparse_push_impl<AtomicCtx<Instr>>(out_csr, ws, in, f, opt,
                                                         instr, stats);
   }
 }
 
-template <CsrLike G, class F, class Instr = NullInstr>
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
 VertexSet sparse_push(const G& g, Workspace& ws, const VertexSet& in, F&& f,
                       const EdgeMapOptions& opt = {}, Instr instr = {},
                       EdgeMapStats* stats = nullptr) {
   return sparse_push(g, ws, in.ids(), std::forward<F>(f), opt, instr, stats);
 }
 
-// View-aware entry: push walks the view's *out*-CSR (§4.8 — the asymmetric
-// dichotomy costs d̂_out when pushing).
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet sparse_push(const View& view, Workspace& ws, std::span<const vid_t> in,
-                      F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_push(view.out(), ws, in, std::forward<F>(f), opt, instr, stats);
-}
-
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet sparse_push(const View& view, Workspace& ws, const VertexSet& in,
-                      F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_push(view.out(), ws, in.ids(), std::forward<F>(f), opt, instr,
-                     stats);
-}
-
 // --- dense push (full source sweep, optional membership filter) --------------
 
-template <CsrLike G, class F, class Instr = NullInstr>
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
 VertexSet dense_push(const G& g, Workspace& ws, const VertexSet* sources,
                      F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
                      EdgeMapStats* stats = nullptr) {
+  const auto& out_csr = detail::push_csr(g);
   if (opt.dedup_output) ws.ensure_dedup();
   switch (opt.sync) {
     case Sync::StripedLock:
-      return detail::dense_push_impl<LockCtx<Instr>>(g, ws, sources, f, opt,
-                                                     instr, stats);
+      return detail::dense_push_impl<LockCtx<Instr>>(out_csr, ws, sources, f,
+                                                     opt, instr, stats);
     case Sync::Plain:
-      return detail::dense_push_impl<PlainCtx<Instr>>(g, ws, sources, f, opt,
-                                                      instr, stats);
+      return detail::dense_push_impl<PlainCtx<Instr>>(out_csr, ws, sources, f,
+                                                      opt, instr, stats);
     case Sync::Atomic:
     default:
-      return detail::dense_push_impl<AtomicCtx<Instr>>(g, ws, sources, f, opt,
-                                                       instr, stats);
+      return detail::dense_push_impl<AtomicCtx<Instr>>(out_csr, ws, sources, f,
+                                                       opt, instr, stats);
   }
-}
-
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet dense_push(const View& view, Workspace& ws, const VertexSet* sources,
-                     F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
-                     EdgeMapStats* stats = nullptr) {
-  return dense_push(view.out(), ws, sources, std::forward<F>(f), opt, instr,
-                    stats);
 }
 
 // --- dense pull (full destination sweep over in-edges) -----------------------
 
-template <CsrLike G, class F, class Instr = NullInstr>
-VertexSet dense_pull(const G& in_csr, Workspace& ws, F&& f,
+// Pull stays zero-sync on asymmetric graphs: the loop hands the functor a
+// PlainCtx whichever CSR it walks.
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
+VertexSet dense_pull(const G& g, Workspace& ws, F&& f,
                      const EdgeMapOptions& opt = {}, Instr instr = {},
                      EdgeMapStats* stats = nullptr) {
+  const auto& in_csr = detail::pull_csr(g);
   WallTimer timer;
   const vid_t n = in_csr.n();
   std::int64_t updates = 0;
@@ -493,23 +492,13 @@ VertexSet dense_pull(const G& in_csr, Workspace& ws, F&& f,
   return out;
 }
 
-// View-aware entry: pull walks the view's *in*-CSR (costs d̂_in on digraphs).
-// Pull stays zero-sync on asymmetric graphs — the loop below still hands the
-// functor a PlainCtx; only the scanned arc set changes.
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet dense_pull(const View& view, Workspace& ws, F&& f,
-                     const EdgeMapOptions& opt = {}, Instr instr = {},
-                     EdgeMapStats* stats = nullptr) {
-  return dense_pull(view.in(), ws, std::forward<F>(f), opt, instr, stats);
-}
-
 // --- sparse pull (frontier-aware pull over a given destination set) ----------
 
-template <CsrLike G, class F, class Instr = NullInstr>
-VertexSet sparse_pull(const G& in_csr, Workspace& ws,
-                      std::span<const vid_t> dests, F&& f,
-                      const EdgeMapOptions& opt = {}, Instr instr = {},
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
+VertexSet sparse_pull(const G& g, Workspace& ws, std::span<const vid_t> dests,
+                      F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
                       EdgeMapStats* stats = nullptr) {
+  const auto& in_csr = detail::pull_csr(g);
   WallTimer timer;
   std::int64_t updates = 0;
 #pragma omp parallel reduction(+ : updates)
@@ -535,29 +524,11 @@ VertexSet sparse_pull(const G& in_csr, Workspace& ws,
   return out;
 }
 
-template <CsrLike G, class F, class Instr = NullInstr>
-VertexSet sparse_pull(const G& in_csr, Workspace& ws, const VertexSet& dests,
-                      F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_pull(in_csr, ws, dests.ids(), std::forward<F>(f), opt, instr,
-                     stats);
-}
-
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet sparse_pull(const View& view, Workspace& ws,
-                      std::span<const vid_t> dests, F&& f,
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
+VertexSet sparse_pull(const G& g, Workspace& ws, const VertexSet& dests, F&& f,
                       const EdgeMapOptions& opt = {}, Instr instr = {},
                       EdgeMapStats* stats = nullptr) {
-  return sparse_pull(view.in(), ws, dests, std::forward<F>(f), opt, instr,
-                     stats);
-}
-
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet sparse_pull(const View& view, Workspace& ws, const VertexSet& dests,
-                      F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
-                      EdgeMapStats* stats = nullptr) {
-  return sparse_pull(view.in(), ws, dests.ids(), std::forward<F>(f), opt, instr,
-                     stats);
+  return sparse_pull(g, ws, dests.ids(), std::forward<F>(f), opt, instr, stats);
 }
 
 // --- frontier-aware pull (dense destination sweep over an indexed frontier) --
@@ -575,11 +546,11 @@ VertexSet sparse_pull(const View& view, Workspace& ws, const VertexSet& dests,
 //   idx.build(frontier.ids());
 //   out = frontier_pull(g, ws, idx, functor, opt, instr);
 
-template <CsrLike G, class F, class Instr = NullInstr>
-VertexSet frontier_pull(const G& in_csr, Workspace& ws,
-                        const FrontierIndex& idx, F&& f,
-                        const EdgeMapOptions& opt = {}, Instr instr = {},
+template <EdgeMapGraph G, class F, class Instr = NullInstr>
+VertexSet frontier_pull(const G& g, Workspace& ws, const FrontierIndex& idx,
+                        F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
                         EdgeMapStats* stats = nullptr) {
+  const auto& in_csr = detail::pull_csr(g);
   WallTimer timer;
   const vid_t n = in_csr.n();
   std::int64_t updates = 0;
@@ -606,24 +577,16 @@ VertexSet frontier_pull(const G& in_csr, Workspace& ws,
   return out;
 }
 
-// View-aware entry: like dense_pull, walks the view's in-CSR; the index is
-// over the same source-id space either way.
-template <GraphView View, class F, class Instr = NullInstr>
-VertexSet frontier_pull(const View& view, Workspace& ws,
-                        const FrontierIndex& idx, F&& f,
-                        const EdgeMapOptions& opt = {}, Instr instr = {},
-                        EdgeMapStats* stats = nullptr) {
-  return frontier_pull(view.in(), ws, idx, std::forward<F>(f), opt, instr,
-                       stats);
-}
-
 // --- partition-aware dense push (Algorithm 8) --------------------------------
 //
-// Threads iterate exactly their own partition: the local adjacency half gets
-// thread-owned plain writes (PlainCtx — local targets are owned by the
+// Each partition is iterated by exactly one thread: the local adjacency half
+// gets thread-owned plain writes (PlainCtx — local targets are owned by the
 // updating thread by construction), a barrier, then the remote half pays the
-// sync policy. Edge ids are not available in the split representation; the
-// functor receives e = -1 and must carry weights itself if it needs them.
+// sync policy. OpenMP may grant fewer threads than parts (a call from inside
+// another parallel region gets a team of one, and OMP_THREAD_LIMIT caps every
+// team), so thread t runs parts t, t + team, t + 2·team, ... Edge ids are not
+// available in the split representation; the functor receives e = -1 and must
+// carry weights itself if it needs them.
 template <class F, class Instr = NullInstr>
 void dense_push_pa(const PartitionAwareCsr& pa, Workspace& ws, F&& f,
                    const EdgeMapOptions& opt = {}, Instr instr = {},
@@ -633,24 +596,26 @@ void dense_push_pa(const PartitionAwareCsr& pa, Workspace& ws, F&& f,
   std::int64_t updates = 0;
 #pragma omp parallel num_threads(part.parts()) reduction(+ : updates)
   {
-    const int t = omp_get_thread_num();
-    // One half of the split sweep: threads iterate exactly their own block.
+    const int team = omp_get_num_threads();
+    // One half of the split sweep over this thread's parts.
     auto half = [&](auto& ctx, bool local, int region) {
-      for (vid_t s = part.begin(t); s < part.end(t); ++s) {
-        if (!detail::pass_source(f, s, static_cast<std::size_t>(s))) continue;
-        instr.code_region(region);
-        const std::span<const vid_t> targets =
-            local ? pa.local_neighbors(s) : pa.remote_neighbors(s);
-        auto run = [&](auto&&... payload) {
-          for (vid_t d : targets) {
-            instr.branch_cond();
-            if (f.update(ctx, s, d, eid_t{-1}, payload...)) ++updates;
+      for (int p = omp_get_thread_num(); p < part.parts(); p += team) {
+        for (vid_t s = part.begin(p); s < part.end(p); ++s) {
+          if (!detail::pass_source(f, s, static_cast<std::size_t>(s))) continue;
+          instr.code_region(region);
+          const std::span<const vid_t> targets =
+              local ? pa.local_neighbors(s) : pa.remote_neighbors(s);
+          auto run = [&](auto&&... payload) {
+            for (vid_t d : targets) {
+              instr.branch_cond();
+              if (f.update(ctx, s, d, eid_t{-1}, payload...)) ++updates;
+            }
+          };
+          if constexpr (requires { f.source_data(ctx, s); }) {
+            run(f.source_data(ctx, s));
+          } else {
+            run();
           }
-        };
-        if constexpr (requires { f.source_data(ctx, s); }) {
-          run(f.source_data(ctx, s));
-        } else {
-          run();
         }
       }
     };
@@ -762,7 +727,7 @@ VertexSet vertex_map(vid_t n, Workspace& ws, std::span<const vid_t> ids, F&& f,
 template <class F, class Instr = NullInstr>
   requires(!std::convertible_to<F, VertexMapOptions>)
 VertexSet vertex_map(vid_t n, Workspace& ws, F&& f,
-                     const VertexMapOptions& opt, Instr instr = {}) {
+                     const VertexMapOptions& opt = {}, Instr instr = {}) {
   switch (opt.synchronized ? opt.sync : Sync::Atomic) {
     case Sync::StripedLock:
       detail::vertex_map_dense_impl<LockCtx<Instr>>(n, ws, f, opt, instr);
@@ -775,23 +740,6 @@ VertexSet vertex_map(vid_t n, Workspace& ws, F&& f,
         detail::vertex_map_dense_impl<PlainCtx<Instr>>(n, ws, f, opt, instr);
       }
       break;
-  }
-  VertexSet out(n);
-  ws.buffers().merge_into(out.mutable_ids());
-  return out;
-}
-
-template <class F, class Instr = NullInstr>
-  requires(!std::convertible_to<F, VertexMapOptions>)
-VertexSet vertex_map(vid_t n, Workspace& ws, F&& f, bool track = true,
-                     Instr instr = {}) {
-#pragma omp parallel
-  {
-    PlainCtx<Instr> ctx(instr, ws.locks());
-#pragma omp for schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      if (f(ctx, v) && track) ws.buffers().push_local(v);
-    }
   }
   VertexSet out(n);
   ws.buffers().merge_into(out.mutable_ids());

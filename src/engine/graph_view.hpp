@@ -17,8 +17,8 @@
 //                   patches a sealed base CSR with a versioned overlay.
 //
 // The accessors therefore return *CsrLike* adjacency (graph/csr.hpp), not Csr
-// concretely; every loop shape in edge_map.hpp is templated on that concept,
-// so all three views run the same engine code.
+// concretely; every loop shape in edge_map.hpp has one entry point that takes
+// a view or a bare CsrLike graph, so all three views run the same engine code.
 //
 // reversed() swaps the two CSRs, turning forward traversal functors into
 // backward ones (SCC's backward reachability pass pushes along in-edges).
@@ -43,6 +43,11 @@ concept GraphView = requires(const V& v, vid_t x) {
   { v.in_degree(x) } -> std::convertible_to<vid_t>;
   { v.is_symmetric() } -> std::convertible_to<bool>;
 };
+
+// What every edge_map loop shape accepts: a graph view, or a bare CSR that
+// serves as both directions (a symmetric graph, or one side of a digraph).
+template <class G>
+concept EdgeMapGraph = GraphView<G> || CsrLike<G>;
 
 // Adapter for today's symmetric Csr: both directions alias the same CSR.
 class SymmetricView {

@@ -137,7 +137,7 @@ GasStats run_gas(const Csr& g, Program& prog, Direction dir,
           touched[static_cast<std::size_t>(v)] = 0;
           return false;
         },
-        /*track=*/false);
+        engine::VertexMapOptions{.track = false});
 
     if (dir == Direction::Pull) {
       // Gather-driven: vertices with at least one active neighbor recompute

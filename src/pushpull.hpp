@@ -30,9 +30,7 @@
 #include "engine/policy.hpp"
 #include "engine/vertex_set.hpp"
 
-// Core push/pull algorithms. (core/baselines/legacy_kernels.hpp — the frozen
-// pre-engine loops — is deliberately NOT part of the public API; only the
-// differential tests include it.)
+// Core push/pull algorithms and their sequential references.
 #include "core/baselines/baselines.hpp"
 #include "core/baselines/union_find.hpp"
 #include "core/bc.hpp"

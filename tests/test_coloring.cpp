@@ -29,6 +29,15 @@ TEST_P(ColoringProper, AllSchemesProduceProperColorings) {
   const ColoringResult gs = gs_color(g, opt);
   const ColoringResult grs = grs_color(g, opt);
   const ColoringResult cr = cr_color(g, opt);
+  // Called from inside a parallel region, the partition loops get a team of
+  // one thread, which must still color all four partitions.
+  ColoringOptions four = opt;
+  four.num_partitions = 4;
+  std::vector<ColoringResult> nested;
+#pragma omp parallel num_threads(2)
+#pragma omp single
+  nested = {boman_color_push(g, four), boman_color_pull(g, four),
+            cr_color(g, four)};
 
   EXPECT_TRUE(baseline::is_proper_coloring(g, push.color)) << name << "/push";
   EXPECT_TRUE(baseline::is_proper_coloring(g, pull.color)) << name << "/pull";
@@ -37,6 +46,9 @@ TEST_P(ColoringProper, AllSchemesProduceProperColorings) {
   EXPECT_TRUE(baseline::is_proper_coloring(g, gs.color)) << name << "/gs";
   EXPECT_TRUE(baseline::is_proper_coloring(g, grs.color)) << name << "/grs";
   EXPECT_TRUE(baseline::is_proper_coloring(g, cr.color)) << name << "/cr";
+  for (const ColoringResult& r : nested) {
+    EXPECT_TRUE(baseline::is_proper_coloring(g, r.color)) << name << "/nested";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -107,14 +119,19 @@ TEST(Coloring, FixedLRunsAllIterations) {
 }
 
 TEST(Coloring, SinglePartitionIsSequentialGreedy) {
-  // One partition = no border vertices = phase 1 colors everything once.
-  Csr g = make_undirected(300, barabasi_albert_edges(300, 3, 19));
-  ColoringOptions opt;
-  opt.num_partitions = 1;
-  const auto r = boman_color_push(g, opt);
-  EXPECT_TRUE(baseline::is_proper_coloring(g, r.color));
-  EXPECT_EQ(r.iterations, 1);
-  EXPECT_EQ(r.iter_conflicts[0], 0);
+  // One partition = no border vertices = phase 1 is one greedy sweep in
+  // vertex order, the same colors as the sequential first-fit reference.
+  for (const auto& [name, g] : testing::unweighted_zoo()) {
+    const std::vector<int> want = baseline::greedy_coloring(g);
+    for (Direction dir : {Direction::Push, Direction::Pull}) {
+      ColoringOptions opt;
+      opt.num_partitions = 1;
+      const ColoringResult r = boman_color(g, dir, opt);
+      EXPECT_EQ(r.color, want) << name << "/" << to_string(dir);
+      EXPECT_EQ(r.iterations, 1) << name << "/" << to_string(dir);
+      EXPECT_EQ(r.iter_conflicts[0], 0) << name << "/" << to_string(dir);
+    }
+  }
 }
 
 TEST(Coloring, CrIsSingleIterationAndConflictFree) {

@@ -1,29 +1,23 @@
-// Differential tests for the engine refactor: every rebased kernel (BFS,
-// SSSP-Δ, BC, PageRank, coloring) and both new engine algorithms run across
-// the full graph zoo × their engine policies, asserted against the frozen
-// pre-refactor implementations in core/baselines/legacy_kernels.hpp.
+// Differential tests for the engine kernels (BFS, SSSP-Δ, BC) across the full
+// graph zoo × their engine policies, asserted against the sequential
+// references in core/baselines/baselines.hpp.
 //
 // Determinism tiers:
-//   - integer results and float-min fixpoints (BFS dist, SSSP dist, colors at
-//     one partition) are bit-identical at any thread count;
-//   - ordered float folds (PR pull, BC pull/pull) are bit-identical at any
-//     thread count because engine and legacy fold in the same neighbor order;
-//   - racy float accumulation (PR push/PA, BC push phases) is bit-identical
-//     under a single thread and tolerance-checked under four.
+//   - integer results and float-min fixpoints (BFS dist and pull parents, SSSP
+//     dist) are bit-identical to the reference at any thread count;
+//   - BC folds floats in a different order than sequential Brandes, so it is
+//     tolerance-checked; pull/pull BC is bit-identical across thread counts.
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "core/baselines/baselines.hpp"
-#include "core/baselines/legacy_kernels.hpp"
 #include "core/bc.hpp"
 #include "core/bfs.hpp"
-#include "core/coloring.hpp"
-#include "core/pagerank.hpp"
 #include "core/sssp_delta.hpp"
-#include "graph/partition_aware.hpp"
 #include "graph_zoo.hpp"
 
 namespace pushpull {
@@ -37,8 +31,6 @@ class EngineDifferential : public ::testing::TestWithParam<int> {
   }
   void TearDown() override { omp_set_num_threads(saved_threads_); }
 
-  bool single_threaded() const { return GetParam() == 1; }
-
   int saved_threads_ = 1;
 };
 
@@ -50,142 +42,101 @@ void expect_eq_vec(const std::vector<vid_t>& got, const std::vector<vid_t>& want
   }
 }
 
-void expect_bitwise_eq(const std::vector<double>& got,
-                       const std::vector<double>& want, const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << label << " index " << i;
+// Pull adopts v's first in-neighbor in adjacency order that is one level
+// closer to the root: derived here from the reference distances.
+std::vector<vid_t> first_parents(const Csr& g, const std::vector<vid_t>& dist) {
+  std::vector<vid_t> parent(dist.size(), -1);
+  for (vid_t v = 0; v < g.n(); ++v) {
+    const vid_t dv = dist[static_cast<std::size_t>(v)];
+    if (dv <= 0) continue;
+    for (vid_t u : g.neighbors(v)) {
+      if (dist[static_cast<std::size_t>(u)] == dv - 1) {
+        parent[static_cast<std::size_t>(v)] = u;
+        break;
+      }
+    }
   }
+  return parent;
 }
 
-void expect_near_vec(const std::vector<double>& got,
-                     const std::vector<double>& want, double tol,
-                     const std::string& label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_NEAR(got[i], want[i], tol) << label << " index " << i;
-  }
-}
-
-TEST_P(EngineDifferential, BfsMatchesLegacyOnZoo) {
+TEST_P(EngineDifferential, BfsMatchesSequentialOnZoo) {
   for (const auto& [name, g] : testing::unweighted_zoo()) {
-    const legacy::BfsRef lpush = legacy::bfs_push(g, 0);
-    const legacy::BfsRef lpull = legacy::bfs_pull(g, 0);
+    const baseline::BfsRef ref = baseline::bfs(g, 0);
+    const int depth = *std::max_element(ref.dist.begin(), ref.dist.end());
     const BfsResult push = bfs_push(g, 0);
     const BfsResult pull = bfs_pull(g, 0);
     const BfsResult diropt = bfs_direction_optimizing(g, 0);
     // Hop distances are race-free values: bit-identical at any thread count.
-    expect_eq_vec(push.dist, lpush.dist, name + "/push dist");
-    expect_eq_vec(pull.dist, lpull.dist, name + "/pull dist");
-    expect_eq_vec(diropt.dist, lpush.dist, name + "/diropt dist");
-    EXPECT_EQ(push.levels, lpush.levels) << name;
-    EXPECT_EQ(pull.levels, lpull.levels) << name;
-    // Pull adopts the first eligible in-neighbor in adjacency order — the
-    // parent array is deterministic and must match exactly.
-    expect_eq_vec(pull.parent, lpull.parent, name + "/pull parent");
+    expect_eq_vec(push.dist, ref.dist, name + "/push dist");
+    expect_eq_vec(pull.dist, ref.dist, name + "/pull dist");
+    expect_eq_vec(diropt.dist, ref.dist, name + "/diropt dist");
+    // Push also processes the last frontier, whose scan finds nothing new.
+    EXPECT_EQ(push.levels, depth + 1) << name;
+    EXPECT_EQ(pull.levels, depth) << name;
+    expect_eq_vec(pull.parent, first_parents(g, ref.dist), name + "/pull parent");
     // Push parents are race winners; require a valid BFS tree instead.
     EXPECT_TRUE(validate_bfs(g, 0, push)) << name;
     EXPECT_TRUE(validate_bfs(g, 0, diropt)) << name;
   }
 }
 
-TEST_P(EngineDifferential, SsspMatchesLegacyOnZoo) {
+TEST_P(EngineDifferential, SsspMatchesDijkstraOnZoo) {
   for (const auto& [name, g] : testing::weighted_zoo()) {
+    const std::vector<weight_t> ref = baseline::dijkstra(g, 0);
     for (weight_t delta : {4.0f, 64.0f}) {
-      const std::vector<weight_t> lpush = legacy::sssp_delta_push(g, 0, delta);
-      const std::vector<weight_t> lpull = legacy::sssp_delta_pull(g, 0, delta);
       const DeltaSteppingResult push = sssp_delta_push(g, 0, delta);
       const DeltaSteppingResult pull = sssp_delta_pull(g, 0, delta);
-      // Relaxation to fixpoint has a unique float solution: exact equality.
-      ASSERT_EQ(push.dist.size(), lpush.size()) << name;
-      for (std::size_t v = 0; v < lpush.size(); ++v) {
-        ASSERT_EQ(push.dist[v], lpush[v]) << name << " d=" << delta << " v" << v;
-        ASSERT_EQ(pull.dist[v], lpull[v]) << name << " d=" << delta << " v" << v;
-        ASSERT_EQ(push.dist[v], pull.dist[v]) << name << " push-vs-pull v" << v;
+      // With non-negative weights the minimum float path sum is unique, so
+      // relaxation in any order reaches the reference bits.
+      ASSERT_EQ(push.dist.size(), ref.size()) << name;
+      for (std::size_t v = 0; v < ref.size(); ++v) {
+        ASSERT_EQ(push.dist[v], ref[v]) << name << " d=" << delta << " v" << v;
+        ASSERT_EQ(pull.dist[v], ref[v]) << name << " d=" << delta << " v" << v;
       }
     }
   }
 }
 
-TEST_P(EngineDifferential, PageRankMatchesLegacyOnZoo) {
-  PageRankOptions opt;
-  opt.iterations = 12;
-  for (const auto& [name, g] : testing::unweighted_zoo()) {
-    // Pull folds in neighbor order in both implementations: bitwise equal.
-    expect_bitwise_eq(pagerank_pull(g, opt), legacy::pagerank_pull(g, opt),
-                      name + "/pull");
-    const std::vector<double> lpush = legacy::pagerank_push(g, opt);
-    const std::vector<double> push = pagerank_push(g, opt);
-    const PartitionAwareCsr pa(g, Partition1D(g.n(), 4));
-    const std::vector<double> lpa = legacy::pagerank_push_pa(g, pa, opt);
-    const std::vector<double> pa_pr = pagerank_push_pa(g, pa, opt);
-    if (single_threaded()) {
-      // One thread: the scatter order is the vertex order in both.
-      expect_bitwise_eq(push, lpush, name + "/push");
-    } else {
-      expect_near_vec(push, lpush, 1e-12, name + "/push");
-    }
-    // PA spawns part.parts() threads regardless of the OMP default, so the
-    // remote half always races: tolerance-checked in both fixtures.
-    expect_near_vec(pa_pr, lpa, 1e-12, name + "/pa");
-  }
-}
-
-TEST_P(EngineDifferential, BcMatchesLegacyOnZoo) {
+TEST_P(EngineDifferential, BcMatchesBrandesOnZoo) {
   const std::vector<vid_t> sources{0, 3, 7};
   for (const auto& [name, g] : testing::unweighted_zoo()) {
     if (g.n() <= 7) continue;
+    const std::vector<double> ref = baseline::brandes_bc(g, sources);
     for (Direction fwd : {Direction::Push, Direction::Pull}) {
       for (Direction bwd : {Direction::Push, Direction::Pull}) {
-        const std::vector<double> ref =
-            legacy::betweenness_centrality(g, sources, fwd, bwd);
         BcOptions opt;
         opt.sources = sources;
         opt.forward = fwd;
         opt.backward = bwd;
         const BcResult got = betweenness_centrality(g, opt);
         const std::string label = name + "/" + to_string(fwd) + "-" + to_string(bwd);
-        const bool deterministic =
-            single_threaded() ||
-            (fwd == Direction::Pull && bwd == Direction::Pull);
-        if (deterministic) {
-          expect_bitwise_eq(got.bc, ref, label);
-        } else {
-          expect_near_vec(got.bc, ref, 1e-9, label);
+        ASSERT_EQ(got.bc.size(), ref.size()) << label;
+        for (std::size_t v = 0; v < ref.size(); ++v) {
+          ASSERT_NEAR(got.bc[v], ref[v], 1e-9 * (1.0 + std::abs(ref[v])))
+              << label << " index " << v;
         }
       }
     }
   }
 }
 
-TEST_P(EngineDifferential, ColoringMatchesLegacyOnZoo) {
+// Pull/pull BC folds every float sum in adjacency order, so its bits do not
+// depend on the team width.
+TEST(EngineDeterminism, PullPullBcBitwiseAcrossThreadCounts) {
+  const int saved = omp_get_max_threads();
+  BcOptions opt;
+  opt.sources = {0, 3, 7};
+  opt.forward = Direction::Pull;
+  opt.backward = Direction::Pull;
   for (const auto& [name, g] : testing::unweighted_zoo()) {
-    for (Direction dir : {Direction::Push, Direction::Pull}) {
-      ColoringOptions opt;
-      opt.max_iterations = 200;
-      // One partition: phase 1 is a sequential greedy sweep and phase 2 finds
-      // no cross-partition edges — fully deterministic in both versions.
-      opt.num_partitions = 1;
-      const ColoringResult ref = legacy::boman_color(g, dir, opt);
-      const ColoringResult got = boman_color(g, dir, opt);
-      const std::string label = name + "/" + to_string(dir);
-      EXPECT_EQ(got.iterations, ref.iterations) << label;
-      ASSERT_EQ(got.color.size(), ref.color.size()) << label;
-      for (std::size_t v = 0; v < ref.color.size(); ++v) {
-        ASSERT_EQ(got.color[v], ref.color[v]) << label << " v" << v;
-      }
-
-      // Multi-partition runs race on phase-1 reads by design; engine and
-      // legacy must both converge to *a* proper coloring with the same
-      // conflict accounting semantics (final iteration conflict-free).
-      ColoringOptions par;
-      par.max_iterations = 8 * g.n() + 50;
-      par.num_partitions = 4;
-      const ColoringResult pr = boman_color(g, dir, par);
-      EXPECT_TRUE(baseline::is_proper_coloring(g, pr.color)) << label;
-      EXPECT_EQ(pr.iter_conflicts.back(), 0) << label;
-    }
+    if (g.n() <= 7) continue;
+    omp_set_num_threads(1);
+    const BcResult one = betweenness_centrality(g, opt);
+    omp_set_num_threads(4);
+    const BcResult four = betweenness_centrality(g, opt);
+    EXPECT_EQ(four.bc, one.bc) << name;
   }
+  omp_set_num_threads(saved);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, EngineDifferential, ::testing::Values(1, 4),

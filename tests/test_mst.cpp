@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
+
 #include "core/baselines/baselines.hpp"
-#include "core/baselines/legacy_kernels.hpp"
 #include "core/baselines/union_find.hpp"
 #include "core/mst_boruvka.hpp"
 #include "core/mst_prim.hpp"
@@ -18,22 +19,32 @@ constexpr double kTol = 1e-3;
 
 class MstEquivalence : public ::testing::TestWithParam<MstParam> {};
 
-TEST_P(MstEquivalence, BoruvkaMatchesKruskalWeight) {
+using TreeEdges = std::vector<std::pair<vid_t, vid_t>>;
+
+TreeEdges sorted(TreeEdges edges) {
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+// Borůvka's packed candidates order edges by (weight, canonical arc id), the
+// order kruskal_msf_edges sorts by, so both select the same unique forest.
+// The forest weight is a sum of floats in double, exact in any order on the
+// zoo, so it equals Kruskal's bit for bit.
+TEST_P(MstEquivalence, BoruvkaMatchesKruskalForest) {
   const auto& zoo = testing::weighted_zoo();
   const auto& [gi, threads] = GetParam();
   const auto& [name, g] = zoo[static_cast<std::size_t>(gi)];
   omp_set_num_threads(threads);
 
-  const double want = baseline::kruskal_msf_weight(g);
+  const auto want = sorted(baseline::kruskal_msf_edges(g));
+  const double want_weight = baseline::kruskal_msf_weight(g);
   const BoruvkaResult push = mst_boruvka_push(g);
   const BoruvkaResult pull = mst_boruvka_pull(g);
-  EXPECT_NEAR(push.total_weight, want, kTol) << name << "/push";
-  EXPECT_NEAR(pull.total_weight, want, kTol) << name << "/pull";
-
-  // Forest size: n - #components edges.
-  const vid_t expected_edges = g.n() - count_components(g);
-  EXPECT_EQ(static_cast<vid_t>(push.tree_edges.size()), expected_edges) << name;
-  EXPECT_EQ(static_cast<vid_t>(pull.tree_edges.size()), expected_edges) << name;
+  EXPECT_EQ(sorted(push.tree_edges), want) << name << "/push";
+  EXPECT_EQ(sorted(pull.tree_edges), want) << name << "/pull";
+  EXPECT_EQ(push.total_weight, want_weight) << name << "/push";
+  EXPECT_EQ(pull.total_weight, want_weight) << name << "/pull";
+  EXPECT_EQ(push.iterations, pull.iterations) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -142,34 +153,6 @@ TEST(MstPrim, ParentEdgesExistAndRoundsEqualN) {
     if (p >= 0) {
       EXPECT_TRUE(g.has_edge(p, v)) << name;
     }
-  }
-}
-
-TEST(Mst, EngineMatchesFrozenLegacyOracleBitForBit) {
-  // The edge_map/vertex_map rebase must reproduce the frozen pre-engine
-  // loops exactly: same tree edges in the same order, bitwise-equal weight
-  // sum, same iteration count — the canonical-arc tie-break makes both ends
-  // deterministic, so this holds at any thread count.
-  omp_set_num_threads(4);
-  for (const auto& [name, g] : testing::weighted_zoo()) {
-    for (Direction dir : {Direction::Push, Direction::Pull}) {
-      const BoruvkaResult r = mst_boruvka(g, dir);
-      const legacy::BoruvkaRef ref = legacy::mst_boruvka(g, dir);
-      EXPECT_EQ(r.tree_edges, ref.tree_edges) << name << "/" << to_string(dir);
-      EXPECT_EQ(r.total_weight, ref.total_weight)
-          << name << "/" << to_string(dir);
-      EXPECT_EQ(r.iterations, ref.iterations) << name << "/" << to_string(dir);
-    }
-  }
-}
-
-TEST(Mst, PushAndPullSelectSameForestWeight) {
-  // With the canonical-edge tie-break both runs are deterministic; weights
-  // must agree exactly, not just within MST-uniqueness.
-  for (const auto& [name, g] : testing::weighted_zoo()) {
-    const double pw = mst_boruvka_push(g).total_weight;
-    const double lw = mst_boruvka_pull(g).total_weight;
-    EXPECT_NEAR(pw, lw, 1e-9) << name;
   }
 }
 

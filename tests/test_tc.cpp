@@ -2,7 +2,6 @@
 #include <omp.h>
 
 #include "core/baselines/baselines.hpp"
-#include "core/baselines/legacy_kernels.hpp"
 #include "core/triangle_count.hpp"
 #include "graph_zoo.hpp"
 #include "perf/instr.hpp"
@@ -42,17 +41,6 @@ INSTANTIATE_TEST_SUITE_P(
       return pushpull::testing::unweighted_zoo()[std::get<0>(info.param)].name +
              "_t" + std::to_string(std::get<1>(info.param));
     });
-
-TEST(TriangleCount, EngineMatchesFrozenLegacyOracle) {
-  // The vertex_map rebase (plain pull / synchronized push) against the
-  // frozen hand-rolled loops: integer counts, bit-identical at any thread
-  // count.
-  omp_set_num_threads(4);
-  for (const auto& [name, g] : testing::unweighted_zoo()) {
-    EXPECT_EQ(triangle_count_pull(g), legacy::triangle_count_pull(g)) << name;
-    EXPECT_EQ(triangle_count_push(g), legacy::triangle_count_push(g)) << name;
-  }
-}
 
 TEST(TriangleCount, CompleteGraphClosedForm) {
   // Every vertex of K_n is in C(n-1, 2) triangles.
