@@ -26,7 +26,6 @@
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 #include "graph/io.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -72,9 +71,9 @@ double time_s(F&& fn, int repeats = 1) {
 //   --graph=FILE                  load a SNAP-style edge list instead of the
 //                                 analogs (weights read when present)
 //   --seed=S                      re-seed the analog generators (and any
-//                                 bench-local randomness, e.g. update
-//                                 streams); 0 = the builtin per-analog seeds,
-//                                 so default runs stay bit-identical
+//                                 bench-local randomness, e.g. sampled
+//                                 frontiers); 0 = the builtin per-analog
+//                                 seeds, so default runs stay bit-identical
 //   --trace=FILE                  record a Chrome trace_event JSON of the run
 //                                 (chrome://tracing / Perfetto); empty = off
 struct SmCli {
@@ -176,24 +175,6 @@ inline void export_supersteps(
       ++step;
     }
   }
-}
-
-// One admission/budget vocabulary for every serving-style path. A kernel
-// invocation in some domain records `<domain>.<kernel>.latency` (nanosecond
-// histogram — p50/p99 land in the --json artifact via write_to) plus
-// `<domain>.<kernel>.degraded` when it missed its budget: an incremental
-// repair that fell back to full recompute (domain "update"), a query the
-// admission controller rejected or that blew its op/time budget (domain
-// "serve"). src/serve/service.cpp records the same key shape internally, so
-// BENCH_update.json and BENCH_serve.json read as one schema
-// (docs/metrics-schema.md).
-inline void account_budget(const std::string& domain, const std::string& kernel,
-                           double seconds, bool degraded) {
-  auto& m = obs::MetricsRegistry::global();
-  const std::string base = domain + "." + kernel;
-  m.histogram(base + ".latency")
-      .record(static_cast<std::uint64_t>(seconds * 1e9));
-  if (degraded) m.counter(base + ".degraded").inc();
 }
 
 // Graph names this run sweeps: the loaded file (basename) or the analogs.

@@ -30,8 +30,8 @@
 //          regardless of the warm start.
 //
 // Every kernel is differentially tested against full recompute on the same
-// snapshot (tests/test_incremental.cpp); bench/update_workload.cpp measures
-// the incremental-vs-full speedup per commit batch.
+// snapshot (tests/test_incremental.cpp); perfbench's ingest_repair workload
+// times the BFS and CC repairs per commit batch and checks every answer.
 #pragma once
 
 #include <algorithm>

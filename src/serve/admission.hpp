@@ -6,9 +6,7 @@
 // so a closed-form price in "ops" is comparable across algorithms and graph
 // sizes. The controller keeps an in-flight ops ledger against a capacity,
 // caps the pending queue, and converts ops to estimated seconds through an
-// EWMA of observed per-query throughput for time-budget checks — the same
-// latency/degraded vocabulary bench_common::account_budget records for the
-// update workload.
+// EWMA of observed per-query throughput for time-budget checks.
 #pragma once
 
 #include <algorithm>

@@ -2,17 +2,18 @@
 //
 // One function per algorithm, over an immutable SnapshotView. These are thin
 // shims onto the standalone engine kernels — deliberately so: the service
-// executes queries through these functions AND serve_workload's --verify
-// recomputes through the same functions on a fresh snapshot of the pinned
-// epoch, so "served result ≡ standalone run" is checked against the genuine
-// standalone path, not a service-private reimplementation.
+// executes queries through these functions AND the answer checks (test_serve,
+// perfbench's serve_live replay) recompute through the same functions on a
+// snapshot of the pinned epoch, so "served result ≡ standalone run" is
+// checked against the genuine standalone path, not a service-private
+// reimplementation.
 //
-// The multi-source wrappers are the batched fast path: k compatible queries
+// The multi-source wrappers serve merged passes: k compatible queued queries
 // (same algorithm, epoch, policy) become one multi_source_bfs/_sssp pass and
-// are sliced back into per-query payloads. Batching is exact — MS-BFS levels
+// are sliced back into per-query payloads. Merging is exact — MS-BFS levels
 // are direction-independent and MS-SSSP converges to the same float fixpoint
-// as Δ-stepping (core/generalized_bfs.hpp) — so batched and standalone
-// answers are bit-identical and --verify needs no batching carve-out.
+// as Δ-stepping (core/generalized_bfs.hpp) — so merged and standalone
+// answers are bit-identical and the checks need no merging carve-out.
 #pragma once
 
 #include <span>

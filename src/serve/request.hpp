@@ -4,9 +4,9 @@
 // algorithms), an optional DirectionPolicy override, an optional epoch pin,
 // and optional per-query budgets. The service answers with a QueryResult
 // whose `epoch` field is the contract: the payload is EXACTLY what a
-// standalone engine run on `snapshot(epoch)` produces — batching, caching
-// and concurrent writer commits are invisible (serve_workload --verify
-// gates this bit-for-bit).
+// standalone engine run on `snapshot(epoch)` produces — merged passes and
+// concurrent writer commits are invisible. test_serve's pinning tests and
+// perfbench's serve_live replay gate this bit-for-bit.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +89,6 @@ struct QueryResult {
   std::vector<double> ranks;    // PageRank: pagerank_converged(...).ranks
   std::vector<vid_t> comp;      // Cc: cc_labels(snapshot(epoch))
 
-  bool from_cache = false;
   int batch_lanes = 0;          // lanes in the merged pass that served this
                                 // query (1 = ran standalone, 0 = not run)
   std::uint64_t priced_ops = 0; // admission price charged

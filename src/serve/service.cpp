@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 
@@ -12,6 +11,9 @@ namespace pushpull::serve {
 
 namespace {
 
+// Lanes per merged pass: the lane-mask width multi_source_bfs checks.
+constexpr std::size_t kMaxLanes = 64;
+
 std::string metric_name(Algo a, const char* suffix) {
   return std::string("serve.") + to_string(a) + "." + suffix;
 }
@@ -19,10 +21,8 @@ std::string metric_name(Algo a, const char* suffix) {
 }  // namespace
 
 GraphService::GraphService(DeltaGraph& graph, ServiceOptions opt)
-    : graph_(&graph), opt_(opt), admission_(opt.admission),
-      cache_(opt.cache_entries) {
+    : graph_(&graph), opt_(opt), admission_(opt.admission) {
   opt_.workers = std::max(1, opt_.workers);
-  opt_.max_lanes = std::clamp(opt_.max_lanes, 1, 64);
   weighted_ = graph_->snapshot().out().has_weights();
   workers_.reserve(static_cast<std::size_t>(opt_.workers));
   for (int i = 0; i < opt_.workers; ++i) {
@@ -58,9 +58,8 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
 
   // Pin the view: the latest published snapshot, or the explicitly pinned
   // epoch's, checked and taken in one step so a concurrent compact() cannot
-  // slip between them. Everything downstream — execution, caching,
-  // verification — reads this view, so later commits cannot leak into the
-  // answer.
+  // slip between them. Everything downstream — execution and verification —
+  // reads this view, so later commits cannot leak into the answer.
   p.view = req.pin_epoch < 0 ? graph_->snapshot()
                              : graph_->try_snapshot(req.pin_epoch);
   if (!p.view) {
@@ -71,18 +70,6 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
                    std::to_string(graph_->epoch()) + "]");
     return fut;
   }
-
-  // Cache: a hit is complete right here — same epoch means the cached
-  // payload is bit-identical to recomputing it.
-  if (auto hit = cache_.find(make_cache_key(req, p.epoch()))) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    m.counter("serve.cache.hits").inc();
-    QueryResult r = *hit;  // payload copy; per-query fields refreshed below
-    complete(p, std::move(r), 0, /*from_cache=*/true);
-    return fut;
-  }
-  cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  m.counter("serve.cache.misses").inc();
 
   // Price and admit on the pinned view's exact size.
   std::size_t queued;
@@ -127,7 +114,6 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
 }
 
 void GraphService::worker_loop() {
-  using clock = std::chrono::steady_clock;
   auto& m = obs::MetricsRegistry::global();
   for (;;) {
     std::unique_lock<std::mutex> lk(mu_);
@@ -137,16 +123,16 @@ void GraphService::worker_loop() {
     std::vector<Pending> batch;
     batch.push_back(std::move(queue_.front()));
     queue_.pop_front();
-    // The batch key, held by value: harvesting grows `batch`, and a
+    // Merge the BFS/SSSP queries already queued with the head's key (same
+    // algorithm, epoch, policy) into its pass. The worker never waits for
+    // more to arrive. The key is held by value: merging grows `batch`, and a
     // reallocation would leave a reference to its head dangling.
     const Algo algo = batch.front().req.algo;
-    const epoch_t epoch = batch.front().epoch();
-    const engine::StrategyKind policy = batch.front().req.policy;
-    const auto lanes = static_cast<std::size_t>(opt_.max_lanes);
-    // Move every queued query with the same key into the batch.
-    auto harvest = [&] {
+    if (algo == Algo::Bfs || algo == Algo::Sssp) {
+      const epoch_t epoch = batch.front().epoch();
+      const engine::StrategyKind policy = batch.front().req.policy;
       for (auto it = queue_.begin();
-           it != queue_.end() && batch.size() < lanes;) {
+           it != queue_.end() && batch.size() < kMaxLanes;) {
         if (it->req.algo == algo && it->epoch() == epoch &&
             it->req.policy == policy) {
           batch.push_back(std::move(*it));
@@ -155,25 +141,6 @@ void GraphService::worker_loop() {
           ++it;
         }
       }
-    };
-
-    // Batching window: hold a single-source query open and merge compatible
-    // arrivals (same algorithm, epoch, policy) into its pass, up to
-    // max_lanes or until the window closes.
-    const bool batchable = (algo == Algo::Bfs || algo == Algo::Sssp) &&
-                           opt_.batch_window_us > 0 && lanes > 1;
-    if (batchable) {
-      const auto deadline =
-          clock::now() + std::chrono::microseconds(opt_.batch_window_us);
-      for (;;) {
-        harvest();
-        if (stopping_ || batch.size() >= lanes ||
-            cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-          break;
-        }
-      }
-      // Window closed: one last harvest of anything that raced the timeout.
-      harvest();
     }
     m.gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
     if (!queue_.empty()) cv_.notify_one();
@@ -210,7 +177,7 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
       if (k == 1) {
         QueryResult r;
         r.levels = run_bfs(view, batch[0].req.source, batch[0].req.policy);
-        complete(batch[0], std::move(r), 1, false);
+        complete(batch[0], std::move(r), 1);
       } else {
         std::vector<vid_t> sources;
         sources.reserve(batch.size());
@@ -220,7 +187,7 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
         for (int l = 0; l < k; ++l) {
           QueryResult r;
           r.levels = ms.lane(l, n);
-          complete(batch[static_cast<std::size_t>(l)], std::move(r), k, false);
+          complete(batch[static_cast<std::size_t>(l)], std::move(r), k);
         }
       }
       break;
@@ -230,7 +197,7 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
         QueryResult r;
         r.dist = run_sssp(view, batch[0].req.source, opt_.sssp_delta,
                           batch[0].req.policy);
-        complete(batch[0], std::move(r), 1, false);
+        complete(batch[0], std::move(r), 1);
       } else {
         std::vector<vid_t> sources;
         sources.reserve(batch.size());
@@ -239,7 +206,7 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
         for (int l = 0; l < k; ++l) {
           QueryResult r;
           r.dist = ms.lane(l, n);
-          complete(batch[static_cast<std::size_t>(l)], std::move(r), k, false);
+          complete(batch[static_cast<std::size_t>(l)], std::move(r), k);
         }
       }
       break;
@@ -247,20 +214,19 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
     case Algo::PageRank: {
       QueryResult r;
       r.ranks = run_pagerank(view);
-      complete(batch[0], std::move(r), 1, false);
+      complete(batch[0], std::move(r), 1);
       break;
     }
     case Algo::Cc: {
       QueryResult r;
       r.comp = run_cc(view);
-      complete(batch[0], std::move(r), 1, false);
+      complete(batch[0], std::move(r), 1);
       break;
     }
   }
 }
 
-void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
-                            bool from_cache) {
+void GraphService::complete(Pending& p, QueryResult&& r, int lanes) {
   auto& m = obs::MetricsRegistry::global();
   const std::uint64_t t_end = obs::now_ns();
   const std::uint64_t lat_ns = t_end - p.t_submit_ns;
@@ -269,7 +235,6 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
   r.algo = p.req.algo;
   r.epoch = p.epoch();
   r.batch_lanes = lanes;
-  r.from_cache = from_cache;
   r.priced_ops = p.priced;
   r.behind_batches = graph_->num_batches_since(r.epoch);
   r.latency_s = static_cast<double>(lat_ns) * 1e-9;
@@ -277,12 +242,8 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
   m.histogram(metric_name(p.req.algo, "latency")).record(lat_ns);
   m.counter("serve.completed").inc();
   completed_.fetch_add(1, std::memory_order_relaxed);
-  if (!from_cache) {
-    admission_.release(p.priced);
-    admission_.observe(p.priced, r.latency_s);
-    cache_.insert(make_cache_key(p.req, r.epoch),
-                  std::make_shared<const QueryResult>(r));
-  }
+  admission_.release(p.priced);
+  admission_.observe(p.priced, r.latency_s);
   if (obs::tracing(opt_.tracer)) {
     obs::TraceEvent ev;
     ev.name = "serve/query";
@@ -294,7 +255,6 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes,
     ev.arg("qid", static_cast<double>(p.id))
         .arg("epoch", static_cast<double>(r.epoch))
         .arg("lanes", static_cast<double>(lanes))
-        .arg("cached", from_cache ? 1.0 : 0.0)
         .arg("behind_batches", static_cast<double>(r.behind_batches));
     opt_.tracer->record(ev);
   }
@@ -354,8 +314,6 @@ ServiceStats GraphService::stats() const {
   s.admitted = admitted_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_queries = batched_queries_.load(std::memory_order_relaxed);
   {

@@ -3,16 +3,19 @@
 // One resident DeltaGraph, one writer (outside the service) committing
 // batches, many concurrent callers submitting QueryRequests. The lifecycle:
 //
-//   submit ── validate ── pin view ── cache? ── admit ── enqueue
-//                                      │hit                │
-//                                      ▼                   ▼ worker pool
-//                                   future            batch window
-//                                                          │
-//                                         1 lane: standalone kernel
-//                                         k lanes: multi-source pass
-//                                                          │
-//                                          complete: metrics, cache,
-//                                          admission release, future
+//   submit ── validate ── pin view ── admit ── enqueue
+//                                                │ worker pool
+//                                                ▼
+//                          pop head; merge the compatible queries already
+//                          queued (BFS/SSSP, same algo, epoch, policy)
+//                                                │
+//                                   1 lane: standalone kernel
+//                                   k lanes: multi-source pass
+//                                                │
+//                          complete: metrics, admission release, future
+//
+// A worker never waits for more queries to arrive: a pass carries what the
+// queue already holds, and nothing is remembered between passes.
 //
 // Epoch-pinning contract: submit() takes the SnapshotView itself — the
 // latest published view (a pointer copy), or the explicitly pinned epoch's —
@@ -39,20 +42,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/admission.hpp"
-#include "serve/cache.hpp"
 #include "serve/request.hpp"
 
 namespace pushpull::serve {
 
 struct ServiceOptions {
   int workers = 2;
-  // After dequeuing a BFS/SSSP query a worker holds it up to this long,
-  // merging compatible arrivals (same algorithm, epoch, policy) into one
-  // multi-source pass. 0 disables batching.
-  std::uint64_t batch_window_us = 200;
-  int max_lanes = 64;  // lanes per merged pass (≤ 64, the lane-mask width)
-  std::size_t cache_entries = 256;  // LRU capacity; 0 disables the cache
-  weight_t sssp_delta = 2.0f;       // Δ for the standalone SSSP path
+  weight_t sssp_delta = 2.0f;  // Δ for the standalone SSSP path
   AdmissionOptions admission;
   obs::Tracer* tracer = nullptr;  // optional; spans ride the kernel seam
 };
@@ -63,6 +59,8 @@ struct ServiceStats {
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
+  // Always 0: the service keeps no result cache. perfbench/src/serve_live.cpp
+  // still reads both fields.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t batches = 0;          // merged passes executed (lanes ≥ 1)
@@ -89,7 +87,6 @@ class GraphService {
 
   ServiceStats stats() const;
   AdmissionController& admission() { return admission_; }
-  ResultCache& cache() { return cache_; }
 
  private:
   struct Pending {
@@ -107,13 +104,12 @@ class GraphService {
   // Run one merged pass (or a standalone query when batch.size() == 1) and
   // fulfill every promise in it.
   void execute_batch(std::vector<Pending> batch);
-  void complete(Pending& p, QueryResult&& r, int lanes, bool from_cache);
+  void complete(Pending& p, QueryResult&& r, int lanes);
   void reject_now(Pending& p, Reject why, std::string detail);
 
   DeltaGraph* graph_;
   ServiceOptions opt_;
   AdmissionController admission_;
-  ResultCache cache_;
   bool weighted_ = false;
 
   mutable std::mutex mu_;
@@ -127,8 +123,6 @@ class GraphService {
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_queries_{0};
 };

@@ -4,18 +4,22 @@
 //  - multi_source_bfs / multi_source_sssp: every lane of one batched pass is
 //    bit-identical to the standalone single-source kernel on the zoo graphs,
 //    at 1..64 lanes and 1/4 OpenMP threads.
-//  - Snapshot pinning under a live writer (the PR's headline contract): k
-//    reader queries pinned to distinct epochs while a writer thread commits
-//    throughout; every payload matches a standalone run on the PINNED
-//    snapshot, never a later one.
-//  - Cache, admission, batching, staleness accounting semantics.
+//  - Snapshot pinning under a live writer: BFS, SSSP, PageRank and CC
+//    queries, pinned to distinct epochs or unpinned, while a writer thread
+//    commits throughout; every payload matches a standalone run on the
+//    snapshot of the epoch it names, never a later one.
+//  - Admission, merging of queued queries, staleness accounting, lifecycle.
 #include <gtest/gtest.h>
 #include <omp.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <future>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "core/sssp_delta.hpp"
 #include "graph/delta_graph.hpp"
 #include "graph_zoo.hpp"
+#include "obs/trace.hpp"
 #include "serve/executor.hpp"
 #include "serve/service.hpp"
 
@@ -42,6 +47,37 @@ std::vector<vid_t> pick_sources(std::mt19937_64& rng, vid_t n, int k) {
     s.push_back(static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n)));
   }
   return s;
+}
+
+// A standalone run of `req` on `snap` through the executor functions the
+// service dispatches to; the payload lands in the field `req.algo` names.
+QueryResult standalone(const SnapshotView& snap, const QueryRequest& req,
+                       weight_t sssp_delta) {
+  QueryResult r;
+  switch (req.algo) {
+    case Algo::Bfs:
+      r.levels = serve::run_bfs(snap, req.source, req.policy);
+      break;
+    case Algo::Sssp:
+      r.dist = serve::run_sssp(snap, req.source, sssp_delta, req.policy);
+      break;
+    case Algo::PageRank:
+      r.ranks = serve::run_pagerank(snap);
+      break;
+    case Algo::Cc:
+      r.comp = serve::run_cc(snap);
+      break;
+  }
+  return r;
+}
+
+// Bitwise payload equality: exactly one payload is filled on each side.
+void expect_same_payload(const QueryResult& got, const QueryResult& want,
+                         const std::string& what) {
+  EXPECT_EQ(got.levels, want.levels) << what;
+  EXPECT_EQ(got.dist, want.dist) << what;
+  EXPECT_EQ(got.ranks, want.ranks) << what;
+  EXPECT_EQ(got.comp, want.comp) << what;
 }
 
 // --- Multi-source kernels vs standalone single-source ------------------------
@@ -156,12 +192,11 @@ TEST(DeltaGraphServe, NumBatchesSinceCountsCommits) {
 
 // --- Service: snapshot pinning under a concurrent writer ---------------------
 
-// Writer commits batches while k readers hold queries pinned to distinct
-// epochs. Each payload must equal the standalone kernel on the PINNED
-// snapshot — proving later commits never leak into a pinned answer.
-TEST(GraphServicePinning, ReadersSeePinnedEpochUnderConcurrentCommits) {
-  Csr base = testing::weighted_zoo().front().graph;
-  DeltaGraph dg(std::move(base));
+constexpr Algo kAlgos[] = {Algo::Bfs, Algo::Sssp, Algo::PageRank, Algo::Cc};
+
+// One run of the test below with the writer committing every `period`.
+void serve_under_writer(std::chrono::microseconds period) {
+  DeltaGraph dg(testing::weighted_zoo().front().graph);
   const vid_t n = dg.n();
 
   // Lay down a few epochs to pin before the service starts.
@@ -177,27 +212,29 @@ TEST(GraphServicePinning, ReadersSeePinnedEpochUnderConcurrentCommits) {
     epochs.push_back(dg.epoch());
   }
 
-  // Expected payloads from the pinned snapshots, computed BEFORE the writer
-  // starts mutating — the pin contract says later commits cannot change them.
-  std::vector<std::vector<vid_t>> want_levels;
-  std::vector<std::vector<weight_t>> want_dist;
-  for (const epoch_t e : epochs) {
-    const SnapshotView snap = dg.snapshot(e);
-    want_levels.push_back(
-        serve::run_bfs(snap, 0, engine::StrategyKind::GenericSwitch));
-    want_dist.push_back(serve::run_sssp(
-        snap, 0, 2.0f, engine::StrategyKind::GenericSwitch));
+  // Expected payloads per (pinned epoch, algorithm), computed BEFORE the
+  // writer starts mutating — the pin contract says later commits cannot
+  // change them.
+  serve::ServiceOptions opt;
+  std::vector<std::vector<QueryResult>> want(epochs.size());
+  for (std::size_t i = 0; i < epochs.size(); ++i) {
+    const SnapshotView snap = dg.snapshot(epochs[i]);
+    for (const Algo a : kAlgos) {
+      QueryRequest req;
+      req.algo = a;
+      want[i].push_back(standalone(snap, req, opt.sssp_delta));
+    }
   }
 
-  serve::ServiceOptions opt;
+  obs::Tracer tracer;
   opt.workers = 3;
-  opt.batch_window_us = 100;
+  opt.tracer = &tracer;
   GraphService svc(dg, opt);
 
-  std::atomic<bool> stop_writer{false};
-  std::thread writer([&] {
+  std::atomic<int> commits{0};
+  std::jthread writer([&](std::stop_token stop) {
     std::mt19937_64 wrng(7);
-    while (!stop_writer.load()) {
+    while (!stop.stop_requested()) {
       for (int i = 0; i < 8; ++i) {
         const vid_t u =
             static_cast<vid_t>(wrng() % static_cast<std::uint64_t>(n));
@@ -206,35 +243,92 @@ TEST(GraphServicePinning, ReadersSeePinnedEpochUnderConcurrentCommits) {
         if (u != v) dg.add_edge(u, v, 0.5f);
       }
       dg.commit();
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      commits.fetch_add(1);
+      std::this_thread::sleep_for(period);
     }
   });
 
+  // Each round submits one algorithm: a query pinned to every laid-down
+  // epoch, then a burst of unpinned ones (which share the latest epoch
+  // unless a commit lands between them, and then merge). Rounds go on until
+  // the writer has committed kMinCommits times, so both rates serve across
+  // many commits.
   constexpr int kRounds = 8;
-  for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::future<QueryResult>> futs;
-    for (std::size_t i = 0; i < epochs.size(); ++i) {
+  constexpr int kMinCommits = 10;
+  constexpr int kUnpinned = 4;
+  std::vector<std::pair<QueryRequest, QueryResult>> unpinned;
+  for (int round = 0; round < kRounds || commits.load() < kMinCommits;
+       ++round) {
+    const std::size_t a = static_cast<std::size_t>(round) % std::size(kAlgos);
+    std::vector<std::future<QueryResult>> pinned_futs;
+    for (const epoch_t e : epochs) {
       QueryRequest req;
-      req.algo = (round % 2 == 0) ? Algo::Bfs : Algo::Sssp;
-      req.source = 0;
-      req.pin_epoch = epochs[i];
+      req.algo = kAlgos[a];
+      req.pin_epoch = e;
+      pinned_futs.push_back(svc.submit(req));
+    }
+    std::vector<QueryRequest> reqs;
+    std::vector<std::future<QueryResult>> futs;
+    for (int i = 0; i < kUnpinned; ++i) {
+      QueryRequest req;
+      req.algo = kAlgos[a];
+      req.source = static_cast<vid_t>((round + 5 * i) % n);
+      reqs.push_back(req);
       futs.push_back(svc.submit(req));
     }
-    for (std::size_t i = 0; i < futs.size(); ++i) {
-      const QueryResult r = futs[i].get();
-      ASSERT_TRUE(r.ok) << r.reject_detail;
+    for (std::size_t i = 0; i < epochs.size(); ++i) {
+      const QueryResult r = pinned_futs[i].get();
+      EXPECT_TRUE(r.ok) << r.reject_detail;
       EXPECT_EQ(r.epoch, epochs[i]);
-      if (r.algo == Algo::Bfs) {
-        EXPECT_EQ(r.levels, want_levels[i]) << "epoch " << epochs[i];
-      } else {
-        EXPECT_EQ(r.dist, want_dist[i]) << "epoch " << epochs[i];
-      }
+      expect_same_payload(r, want[i][a],
+                          std::string(to_string(r.algo)) + " pinned epoch " +
+                              std::to_string(epochs[i]));
+    }
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      QueryResult r = futs[i].get();
+      EXPECT_TRUE(r.ok) << r.reject_detail;
+      unpinned.emplace_back(reqs[i], std::move(r));
     }
   }
-
-  stop_writer.store(true);
+  writer.request_stop();
   writer.join();
   svc.stop();
+
+  // Replay every unpinned answer on the epoch it resolved to at submit.
+  for (const auto& [req, r] : unpinned) {
+    expect_same_payload(
+        r, standalone(dg.snapshot(r.epoch), req, opt.sssp_delta),
+        std::string(to_string(r.algo)) + " unpinned source " +
+            std::to_string(req.source) + " epoch " + std::to_string(r.epoch));
+  }
+
+  // One serve/query span per completed query, one serve/execute span per
+  // executed pass.
+  const serve::ServiceStats st = svc.stats();
+  std::uint64_t query_spans = 0;
+  std::uint64_t execute_spans = 0;
+  for (const auto& [tid, ev] : tracer.sorted_events()) {
+    query_spans += std::strcmp(ev.name, "serve/query") == 0 ? 1 : 0;
+    execute_spans += std::strcmp(ev.name, "serve/execute") == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(st.completed, st.submitted);
+  EXPECT_EQ(query_spans, st.completed);
+  EXPECT_EQ(execute_spans, st.batches);
+}
+
+// Readers submit BFS, SSSP, PageRank and CC queries while a writer commits.
+// A query pinned to an epoch laid down before the service started must equal
+// the standalone run on that PINNED snapshot, computed before the writer
+// started — later commits never leak into a pinned answer. An unpinned query
+// must equal the standalone run on snapshot(r.epoch), replayed after the
+// writer stops. The writer commits every 200 µs, then every 10 ms.
+TEST(GraphServicePinning, ReadersSeePinnedEpochUnderConcurrentCommits) {
+  for (const auto period :
+       {std::chrono::microseconds(200), std::chrono::microseconds(10000)}) {
+    SCOPED_TRACE("writer period " + std::to_string(period.count()) + " us");
+    serve_under_writer(period);
+  }
 }
 
 // The writer compacts while queries are queued. Each query took its view at
@@ -246,8 +340,6 @@ TEST(GraphServicePinning, CompactWhileQueriesQueuedServesPinnedViews) {
   const vid_t n = dg.n();
   serve::ServiceOptions opt;
   opt.workers = 1;
-  opt.batch_window_us = 2000;  // each head holds its worker: queries queue up
-  opt.cache_entries = 0;       // every query executes
   GraphService svc(dg, opt);
 
   std::map<epoch_t, SnapshotView> views{{dg.epoch(), dg.snapshot()}};
@@ -268,14 +360,17 @@ TEST(GraphServicePinning, CompactWhileQueriesQueuedServesPinnedViews) {
     }
     dg.commit();
     views.emplace(dg.epoch(), dg.snapshot());
-    for (int q = 0; q < 4; ++q) {
+    // In a compaction round a PageRank query goes first and holds the single
+    // worker, so the queries behind it are still queued when compact() runs.
+    const bool compacting = round % 5 == 4;
+    for (int q = compacting ? -1 : 0; q < 4; ++q) {
       QueryRequest req;
-      req.algo = q % 2 == 0 ? Algo::Bfs : Algo::Sssp;
+      req.algo = q < 0 ? Algo::PageRank : q % 2 == 0 ? Algo::Bfs : Algo::Sssp;
       req.source = static_cast<vid_t>(rng() % static_cast<std::uint64_t>(n));
       reqs.push_back(req);
       futs.push_back(svc.submit(req));
     }
-    if (round % 5 == 4) {
+    if (compacting) {
       queued_at_compaction += svc.stats().queue_depth;
       dg.compact();
     }
@@ -289,16 +384,9 @@ TEST(GraphServicePinning, CompactWhileQueriesQueuedServesPinnedViews) {
     const auto it = views.find(r.epoch);
     ASSERT_NE(it, views.end());
     oldest_answered = std::min(oldest_answered, r.epoch);
-    if (r.algo == Algo::Bfs) {
-      EXPECT_EQ(r.levels, serve::run_bfs(it->second, reqs[i].source,
-                                         engine::StrategyKind::GenericSwitch))
-          << "query " << i << " epoch " << r.epoch;
-    } else {
-      EXPECT_EQ(r.dist, serve::run_sssp(it->second, reqs[i].source,
-                                        opt.sssp_delta,
-                                        engine::StrategyKind::GenericSwitch))
-          << "query " << i << " epoch " << r.epoch;
-    }
+    expect_same_payload(r, standalone(it->second, reqs[i], opt.sssp_delta),
+                        "query " + std::to_string(i) + " epoch " +
+                            std::to_string(r.epoch));
   }
   EXPECT_LT(oldest_answered, dg.oldest_epoch());
 
@@ -337,52 +425,6 @@ TEST(GraphServicePinning, UnpinnedQueriesResolveLatestAndReportStaleness) {
   EXPECT_EQ(r2.epoch, r.epoch);
   EXPECT_EQ(r2.behind_batches, 1u);
   EXPECT_EQ(r2.levels, r.levels);
-}
-
-// --- Service: cache semantics ------------------------------------------------
-
-TEST(GraphServiceCache, HitsOnlyWithinOneEpoch) {
-  DeltaGraph dg(testing::weighted_zoo().front().graph);
-  GraphService svc(dg);
-  QueryRequest req;
-  req.algo = Algo::Bfs;
-  req.source = 2;
-
-  const QueryResult r1 = svc.submit(req).get();
-  ASSERT_TRUE(r1.ok);
-  EXPECT_FALSE(r1.from_cache);
-
-  const QueryResult r2 = svc.submit(req).get();
-  ASSERT_TRUE(r2.ok);
-  EXPECT_TRUE(r2.from_cache);
-  EXPECT_EQ(r2.levels, r1.levels);
-  EXPECT_EQ(r2.epoch, r1.epoch);
-
-  dg.add_edge(2, 7, 1.0f);
-  dg.commit();
-  const QueryResult r3 = svc.submit(req).get();
-  ASSERT_TRUE(r3.ok);
-  EXPECT_FALSE(r3.from_cache);  // new epoch, new key
-  EXPECT_EQ(r3.epoch, dg.epoch());
-
-  const serve::ServiceStats st = svc.stats();
-  EXPECT_EQ(st.cache_hits, 1u);
-  EXPECT_EQ(st.cache_misses, 2u);
-}
-
-TEST(GraphServiceCache, WholeGraphAlgorithmsShareOneKeyPerEpoch) {
-  DeltaGraph dg(testing::weighted_zoo().front().graph);
-  GraphService svc(dg);
-  QueryRequest a, b;
-  a.algo = b.algo = Algo::Cc;
-  a.source = 3;  // source is normalized out of whole-graph cache keys
-  b.source = 9;
-  const QueryResult r1 = svc.submit(a).get();
-  const QueryResult r2 = svc.submit(b).get();
-  ASSERT_TRUE(r1.ok && r2.ok);
-  EXPECT_FALSE(r1.from_cache);
-  EXPECT_TRUE(r2.from_cache);
-  EXPECT_EQ(r1.comp, r2.comp);
 }
 
 // --- Service: admission ------------------------------------------------------
@@ -458,42 +500,45 @@ TEST(AdmissionController, QueueLimitAndLedger) {
   EXPECT_EQ(ac.inflight_ops(), 0u);
 }
 
-// --- Service: batching -------------------------------------------------------
+// --- Service: merging queued queries ----------------------------------------
 
-// With a wide window and one worker, concurrently submitted same-policy BFS
-// queries merge into one multi-source pass; each lane still equals the
-// standalone run.
+// A PageRank query holds the single worker while six BFS queries queue
+// behind it; the worker then runs all six as one multi-source pass. Each lane
+// still equals the standalone run, and so does the PageRank payload.
 TEST(GraphServiceBatching, MergesCompatibleQueriesAndStaysExact) {
   DeltaGraph dg(testing::weighted_zoo().front().graph);
   const SnapshotView snap = dg.snapshot();
   serve::ServiceOptions opt;
   opt.workers = 1;
-  opt.batch_window_us = 100000;  // 100 ms: everything below lands in one pass
-  opt.cache_entries = 0;         // force execution for every query
   GraphService svc(dg, opt);
 
+  QueryRequest pr;
+  pr.algo = Algo::PageRank;
+  std::future<QueryResult> pr_fut = svc.submit(pr);
   constexpr int kQueries = 6;
   std::vector<std::future<QueryResult>> futs;
-  std::vector<vid_t> sources;
+  std::vector<QueryRequest> reqs;
   for (int i = 0; i < kQueries; ++i) {
     QueryRequest req;
     req.algo = Algo::Bfs;
     req.source = static_cast<vid_t>(3 * i + 1);
-    sources.push_back(req.source);
+    reqs.push_back(req);
     futs.push_back(svc.submit(req));
   }
-  int max_lanes = 0;
-  for (int i = 0; i < kQueries; ++i) {
-    const QueryResult r = futs[static_cast<std::size_t>(i)].get();
+  for (std::size_t i = 0; i < futs.size(); ++i) {
+    const QueryResult r = futs[i].get();
     ASSERT_TRUE(r.ok) << r.reject_detail;
-    max_lanes = std::max(max_lanes, r.batch_lanes);
-    EXPECT_EQ(r.levels, serve::run_bfs(snap, sources[static_cast<std::size_t>(i)],
-                                       engine::StrategyKind::GenericSwitch));
+    EXPECT_EQ(r.batch_lanes, kQueries);
+    expect_same_payload(r, standalone(snap, reqs[i], opt.sssp_delta),
+                        "lane " + std::to_string(i));
   }
-  EXPECT_GE(max_lanes, 2);  // the window did merge
+  const QueryResult r = pr_fut.get();
+  ASSERT_TRUE(r.ok) << r.reject_detail;
+  EXPECT_EQ(r.batch_lanes, 1);
+  expect_same_payload(r, standalone(snap, pr, opt.sssp_delta), "pagerank");
   const serve::ServiceStats st = svc.stats();
-  EXPECT_GT(st.batched_queries, 0u);
-  EXPECT_LT(st.batches, static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(st.batches, 2u);
+  EXPECT_EQ(st.batched_queries, static_cast<std::uint64_t>(kQueries));
 }
 
 // --- Service: lifecycle ------------------------------------------------------
@@ -506,10 +551,7 @@ TEST(GraphServiceLifecycle, StopIsIdempotentAndDtorSafe) {
   EXPECT_TRUE(svc.submit(req).get().ok);
   svc.stop();
   svc.stop();
-  QueryRequest fresh;  // uncached: a repeat CC would legitimately hit the cache
-  fresh.algo = Algo::Bfs;
-  fresh.source = 4;
-  const QueryResult r = svc.submit(fresh).get();
+  const QueryResult r = svc.submit(req).get();
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.reject, Reject::Shutdown);
 }
