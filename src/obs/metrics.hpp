@@ -1,7 +1,7 @@
-// Process-wide metrics registry: named counters, gauges, and log2-bucketed
-// latency histograms with p50/p99 extraction — the serving-path half of the
-// obs layer (ROADMAP: the serving layer needs latency histograms and QPS
-// counters before it can exist).
+// Metrics registry: named counters, gauges, and log2-bucketed latency
+// histograms with p50/p99 extraction. No program records into one at
+// present; the serving layer counts in serve::ServiceStats and traces each
+// query instead.
 //
 // All instruments are lock-free on the record path (relaxed atomics); the
 // registry itself takes a mutex only on name lookup, so callers hold the
@@ -85,8 +85,6 @@ class Histogram {
 
 class MetricsRegistry {
  public:
-  static MetricsRegistry& global();
-
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);

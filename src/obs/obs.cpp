@@ -159,11 +159,6 @@ void Histogram::reset() noexcept {
 
 // --- MetricsRegistry ---------------------------------------------------------
 
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
 Counter& MetricsRegistry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];

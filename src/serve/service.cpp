@@ -14,10 +14,6 @@ namespace {
 // Lanes per merged pass: the lane-mask width multi_source_bfs checks.
 constexpr std::size_t kMaxLanes = 64;
 
-std::string metric_name(Algo a, const char* suffix) {
-  return std::string("serve.") + to_string(a) + "." + suffix;
-}
-
 }  // namespace
 
 GraphService::GraphService(DeltaGraph& graph, ServiceOptions opt)
@@ -33,14 +29,12 @@ GraphService::GraphService(DeltaGraph& graph, ServiceOptions opt)
 GraphService::~GraphService() { stop(); }
 
 std::future<QueryResult> GraphService::submit(QueryRequest req) {
-  auto& m = obs::MetricsRegistry::global();
   Pending p;
   p.id = next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   p.req = req;
   p.t_submit_ns = obs::now_ns();
   std::future<QueryResult> fut = p.promise.get_future();
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  m.counter("serve.submitted").inc();
 
   // Validate against the live graph before pricing anything.
   const vid_t n = graph_->n();
@@ -85,7 +79,6 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
     return fut;
   }
   admitted_.fetch_add(1, std::memory_order_relaxed);
-  m.counter("serve.admitted").inc();
   if (obs::tracing(opt_.tracer)) {
     obs::TraceEvent ev;
     ev.name = "serve/admit";
@@ -107,14 +100,12 @@ std::future<QueryResult> GraphService::submit(QueryRequest req) {
       return fut;
     }
     queue_.push_back(std::move(p));
-    m.gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
   }
   cv_.notify_one();
   return fut;
 }
 
 void GraphService::worker_loop() {
-  auto& m = obs::MetricsRegistry::global();
   for (;;) {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [&] { return stopping_ || !queue_.empty(); });
@@ -142,7 +133,6 @@ void GraphService::worker_loop() {
         }
       }
     }
-    m.gauge("serve.queue_depth").set(static_cast<double>(queue_.size()));
     if (!queue_.empty()) cv_.notify_one();
     lk.unlock();
     execute_batch(std::move(batch));
@@ -150,7 +140,6 @@ void GraphService::worker_loop() {
 }
 
 void GraphService::execute_batch(std::vector<Pending> batch) {
-  auto& m = obs::MetricsRegistry::global();
   // Every query in the batch pinned the same epoch; the head's view serves
   // them all.
   const SnapshotView& view = *batch.front().view;
@@ -163,12 +152,9 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
   span.arg("epoch", static_cast<double>(e));
   span.arg("lanes", static_cast<double>(k));
   batches_.fetch_add(1, std::memory_order_relaxed);
-  m.counter("serve.batches").inc();
-  m.histogram("serve.batch_lanes").record(static_cast<std::uint64_t>(k));
   if (k > 1) {
     batched_queries_.fetch_add(static_cast<std::uint64_t>(k),
                                std::memory_order_relaxed);
-    m.counter("serve.batched_queries").inc(k);
   }
 
   const vid_t n = view.n();
@@ -227,7 +213,6 @@ void GraphService::execute_batch(std::vector<Pending> batch) {
 }
 
 void GraphService::complete(Pending& p, QueryResult&& r, int lanes) {
-  auto& m = obs::MetricsRegistry::global();
   const std::uint64_t t_end = obs::now_ns();
   const std::uint64_t lat_ns = t_end - p.t_submit_ns;
   r.ok = true;
@@ -239,8 +224,6 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes) {
   r.behind_batches = graph_->num_batches_since(r.epoch);
   r.latency_s = static_cast<double>(lat_ns) * 1e-9;
 
-  m.histogram(metric_name(p.req.algo, "latency")).record(lat_ns);
-  m.counter("serve.completed").inc();
   completed_.fetch_add(1, std::memory_order_relaxed);
   admission_.release(p.priced);
   admission_.observe(p.priced, r.latency_s);
@@ -262,7 +245,6 @@ void GraphService::complete(Pending& p, QueryResult&& r, int lanes) {
 }
 
 void GraphService::reject_now(Pending& p, Reject why, std::string detail) {
-  auto& m = obs::MetricsRegistry::global();
   QueryResult r;
   r.ok = false;
   r.reject = why;
@@ -271,8 +253,6 @@ void GraphService::reject_now(Pending& p, Reject why, std::string detail) {
   r.epoch = p.epoch();
   r.latency_s = static_cast<double>(obs::now_ns() - p.t_submit_ns) * 1e-9;
   rejected_.fetch_add(1, std::memory_order_relaxed);
-  m.counter("serve.rejected").inc();
-  m.counter(metric_name(p.req.algo, "degraded")).inc();
   if (obs::tracing(opt_.tracer)) {
     obs::TraceEvent ev;
     ev.name = "serve/reject";

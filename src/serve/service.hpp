@@ -12,7 +12,7 @@
 //                                   1 lane: standalone kernel
 //                                   k lanes: multi-source pass
 //                                                │
-//                          complete: metrics, admission release, future
+//                          complete: stats, admission release, future
 //
 // A worker never waits for more queries to arrive: a pass carries what the
 // queue already holds, and nothing is remembered between passes.
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "graph/delta_graph.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/admission.hpp"
 #include "serve/request.hpp"

@@ -26,6 +26,7 @@
 #include "core/incremental.hpp"
 #include "core/sssp_delta.hpp"
 #include "graph/delta_graph.hpp"
+#include "graph/generators.hpp"
 #include "graph_zoo.hpp"
 #include "obs/trace.hpp"
 #include "serve/executor.hpp"
@@ -194,10 +195,35 @@ TEST(DeltaGraphServe, NumBatchesSinceCountsCommits) {
 
 constexpr Algo kAlgos[] = {Algo::Bfs, Algo::Sssp, Algo::PageRank, Algo::Cc};
 
+// The graph the writer below mutates: a weighted R-MAT on 1,024 vertices
+// plus 256 vertices with no edges, so vertices are isolated across the whole
+// id range. An isolated vertex is a singleton component and dangling
+// PageRank mass, so a commit that links one changes the CC labels and the
+// dangling sum; n > 1024 spreads that sum over two of pr_dangling_mass's
+// blocks.
+const Csr& writer_graph() {
+  static const Csr g =
+      make_undirected_weighted(1280, rmat_edges(10, 2, 71), 1.0f, 10.0f, 73);
+  return g;
+}
+
 // One run of the test below with the writer committing every `period`.
 void serve_under_writer(std::chrono::microseconds period) {
-  DeltaGraph dg(testing::weighted_zoo().front().graph);
+  DeltaGraph dg(writer_graph());
   const vid_t n = dg.n();
+
+  // Isolated vertices in every quarter of the id range: the dangling mass
+  // is summed across every thread's static range of a 4-wide team.
+  {
+    const SnapshotView base = dg.snapshot();
+    for (vid_t q = 0; q < 4; ++q) {
+      bool isolated = false;
+      for (vid_t v = q * n / 4; v < (q + 1) * n / 4; ++v) {
+        isolated = isolated || base.out().degree(v) == 0;
+      }
+      ASSERT_TRUE(isolated) << "no isolated vertex in quarter " << q;
+    }
+  }
 
   // Lay down a few epochs to pin before the service starts.
   std::vector<epoch_t> epochs{dg.epoch()};
@@ -214,7 +240,11 @@ void serve_under_writer(std::chrono::microseconds period) {
 
   // Expected payloads per (pinned epoch, algorithm), computed BEFORE the
   // writer starts mutating — the pin contract says later commits cannot
-  // change them.
+  // change them. They and the replays below run on one OpenMP thread while
+  // the workers run full teams, so a served answer that depends on team
+  // width fails too.
+  const int threads = omp_get_max_threads();
+  omp_set_num_threads(1);
   serve::ServiceOptions opt;
   std::vector<std::vector<QueryResult>> want(epochs.size());
   for (std::size_t i = 0; i < epochs.size(); ++i) {
@@ -225,22 +255,42 @@ void serve_under_writer(std::chrono::microseconds period) {
       want[i].push_back(standalone(snap, req, opt.sssp_delta));
     }
   }
+  // Serving a pinned query on the wrong epoch must be visible: every
+  // algorithm's answer differs between the first and last laid-down epochs.
+  for (std::size_t a = 0; a < std::size(kAlgos); ++a) {
+    const QueryResult& first = want.front()[a];
+    const QueryResult& last = want.back()[a];
+    ASSERT_FALSE(first.levels == last.levels && first.dist == last.dist &&
+                 first.ranks == last.ranks && first.comp == last.comp)
+        << to_string(kAlgos[a]) << " is the same at the first and last epoch";
+  }
 
   obs::Tracer tracer;
   opt.workers = 3;
   opt.tracer = &tracer;
   GraphService svc(dg, opt);
 
+  // The writer alternates a commit of 8 random edges with a commit that
+  // removes them again, so the graph changes at every commit but does not
+  // grow with the commit count.
   std::atomic<int> commits{0};
   std::jthread writer([&](std::stop_token stop) {
     std::mt19937_64 wrng(7);
+    std::vector<std::pair<vid_t, vid_t>> added;
     while (!stop.stop_requested()) {
-      for (int i = 0; i < 8; ++i) {
-        const vid_t u =
-            static_cast<vid_t>(wrng() % static_cast<std::uint64_t>(n));
-        const vid_t v =
-            static_cast<vid_t>(wrng() % static_cast<std::uint64_t>(n));
-        if (u != v) dg.add_edge(u, v, 0.5f);
+      if (added.empty()) {
+        for (int i = 0; i < 8; ++i) {
+          const vid_t u =
+              static_cast<vid_t>(wrng() % static_cast<std::uint64_t>(n));
+          const vid_t v =
+              static_cast<vid_t>(wrng() % static_cast<std::uint64_t>(n));
+          if (u == v) continue;
+          dg.add_edge(u, v, 0.5f);
+          added.emplace_back(u, v);
+        }
+      } else {
+        for (const auto& [u, v] : added) dg.remove_edge(u, v);
+        added.clear();
       }
       dg.commit();
       commits.fetch_add(1);
@@ -301,6 +351,7 @@ void serve_under_writer(std::chrono::microseconds period) {
         std::string(to_string(r.algo)) + " unpinned source " +
             std::to_string(req.source) + " epoch " + std::to_string(r.epoch));
   }
+  omp_set_num_threads(threads);
 
   // One serve/query span per completed query, one serve/execute span per
   // executed pass.
@@ -502,43 +553,65 @@ TEST(AdmissionController, QueueLimitAndLedger) {
 
 // --- Service: merging queued queries ----------------------------------------
 
-// A PageRank query holds the single worker while six BFS queries queue
-// behind it; the worker then runs all six as one multi-source pass. Each lane
-// still equals the standalone run, and so does the PageRank payload.
+// PageRank queries hold the single worker while six BFS queries queue behind
+// them; the worker then runs all six as one multi-source pass. Each lane
+// still equals the standalone run, and so do the PageRank payloads.
 TEST(GraphServiceBatching, MergesCompatibleQueriesAndStaysExact) {
   DeltaGraph dg(testing::weighted_zoo().front().graph);
   const SnapshotView snap = dg.snapshot();
   serve::ServiceOptions opt;
   opt.workers = 1;
   GraphService svc(dg, opt);
-
   QueryRequest pr;
   pr.algo = Algo::PageRank;
-  std::future<QueryResult> pr_fut = svc.submit(pr);
+  const QueryResult pr_want = standalone(snap, pr, opt.sssp_delta);
+
+  constexpr int kHolders = 3;
   constexpr int kQueries = 6;
-  std::vector<std::future<QueryResult>> futs;
-  std::vector<QueryRequest> reqs;
-  for (int i = 0; i < kQueries; ++i) {
-    QueryRequest req;
-    req.algo = Algo::Bfs;
-    req.source = static_cast<vid_t>(3 * i + 1);
-    reqs.push_back(req);
-    futs.push_back(svc.submit(req));
+  bool all_queued = false;
+  for (int attempt = 0; attempt < 5 && !all_queued; ++attempt) {
+    const serve::ServiceStats before = svc.stats();
+    std::vector<std::future<QueryResult>> pr_futs;
+    for (int h = 0; h < kHolders; ++h) pr_futs.push_back(svc.submit(pr));
+    std::vector<std::future<QueryResult>> futs;
+    std::vector<QueryRequest> reqs;
+    for (int i = 0; i < kQueries; ++i) {
+      QueryRequest req;
+      req.algo = Algo::Bfs;
+      req.source = static_cast<vid_t>(3 * i + 1);
+      reqs.push_back(req);
+      futs.push_back(svc.submit(req));
+    }
+    // The worker pops in submit order. If all six BFS queries are still
+    // queued once the last is submitted, it reaches them together and must
+    // merge all six. If it outran the submissions, the attempt says nothing
+    // about merging (its answers are still checked) and is repeated.
+    all_queued = svc.stats().queue_depth >= static_cast<std::size_t>(kQueries);
+    for (std::size_t i = 0; i < futs.size(); ++i) {
+      const QueryResult r = futs[i].get();
+      ASSERT_TRUE(r.ok) << r.reject_detail;
+      if (all_queued) {
+        EXPECT_EQ(r.batch_lanes, kQueries);
+      }
+      expect_same_payload(r, standalone(snap, reqs[i], opt.sssp_delta),
+                          "lane " + std::to_string(i));
+    }
+    for (std::future<QueryResult>& f : pr_futs) {
+      const QueryResult r = f.get();
+      ASSERT_TRUE(r.ok) << r.reject_detail;
+      EXPECT_EQ(r.batch_lanes, 1);
+      expect_same_payload(r, pr_want, "pagerank");
+    }
+    if (all_queued) {
+      const serve::ServiceStats st = svc.stats();
+      EXPECT_EQ(st.batches - before.batches,
+                static_cast<std::uint64_t>(kHolders + 1));
+      EXPECT_EQ(st.batched_queries - before.batched_queries,
+                static_cast<std::uint64_t>(kQueries));
+    }
   }
-  for (std::size_t i = 0; i < futs.size(); ++i) {
-    const QueryResult r = futs[i].get();
-    ASSERT_TRUE(r.ok) << r.reject_detail;
-    EXPECT_EQ(r.batch_lanes, kQueries);
-    expect_same_payload(r, standalone(snap, reqs[i], opt.sssp_delta),
-                        "lane " + std::to_string(i));
-  }
-  const QueryResult r = pr_fut.get();
-  ASSERT_TRUE(r.ok) << r.reject_detail;
-  EXPECT_EQ(r.batch_lanes, 1);
-  expect_same_payload(r, standalone(snap, pr, opt.sssp_delta), "pagerank");
-  const serve::ServiceStats st = svc.stats();
-  EXPECT_EQ(st.batches, 2u);
-  EXPECT_EQ(st.batched_queries, static_cast<std::uint64_t>(kQueries));
+  EXPECT_TRUE(all_queued) << "the worker reached the BFS queries before the "
+                             "last was submitted in every attempt";
 }
 
 // --- Service: lifecycle ------------------------------------------------------
