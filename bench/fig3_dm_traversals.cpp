@@ -7,7 +7,7 @@
 // and reports both timings side by side for each:
 //   modeled   slowest rank's compute proxy (edge ops × a calibrated per-edge
 //             cost) + its CommCosts-modeled communication — authoritative
-//             for the emu backend (threads on a 1-2 core box).
+//             for the emu backend (up to 16 rank threads on a 4-vCPU box).
 //   measured  slowest rank's real wall clock — authoritative for the shm
 //             backend (one process per rank over POSIX shared memory).
 //

@@ -13,11 +13,15 @@
 //            frontier and must win on the low-diameter analogs. The bench
 //            exits non-zero if that ordering breaks (CI gate).
 //
+// --verify also exits non-zero unless every CC policy returns the same
+// labels and direction-optimizing BFS returns the sequential BFS distances.
+//
 // Flags (shared across fig1/fig2/fig5/fig6): --scale=K,
 // --policy=push|pull|gs|grs|fe|pa|all, --graph=FILE.
 #include <algorithm>
 
 #include "bench_common.hpp"
+#include "core/baselines/baselines.hpp"
 #include "core/bfs.hpp"
 #include "core/coloring.hpp"
 #include "core/connected_components.hpp"
@@ -118,6 +122,7 @@ int main(int argc, char** argv) {
   // social analogs the frontier strategies (FE, GrS) must beat both static
   // directions, which burn all m arcs every round.
   bool ordering_ok = true;
+  bool verify_ok = true;
   std::vector<StrategyKind> cc_policies;
   for (StrategyKind k : sm.policies) {
     if (k != StrategyKind::PartitionAware) cc_policies.push_back(k);
@@ -133,6 +138,7 @@ int main(int argc, char** argv) {
       std::vector<std::string> row{name + "*"};
       double t_push = 0, t_pull = 0, t_fe = 0, t_grs = 0;
       int grs_rounds = 0;
+      std::vector<vid_t> first_labels;
       for (StrategyKind k : cc_policies) {
         CcOptions opt;
         opt.strategy = k;
@@ -143,6 +149,15 @@ int main(int argc, char** argv) {
         // reported best-of-5 numbers.
         if (trace.active()) {
           connected_components(g, opt, NullInstr{}, trace.tracer());
+        }
+        if (verify) {
+          if (first_labels.empty()) first_labels = r.comp;
+          if (r.comp != first_labels) {
+            verify_ok = false;
+            std::printf("  !! CC labels under %s differ from %s on %s\n",
+                        engine::to_string(k),
+                        engine::to_string(cc_policies.front()), name.c_str());
+          }
         }
         row.push_back(Table::num(t * 1e3, 3));
         json.add("cc." + name + "." + engine::to_string(k), t);
@@ -198,6 +213,11 @@ int main(int argc, char** argv) {
           [&] { r = bfs_direction_optimizing(g, root, {}, NullInstr{},
                                              trace.tracer()); },
           1);
+      if (verify && r.dist != baseline::bfs(g, root).dist) {
+        verify_ok = false;
+        std::printf("  !! BFS distances differ from sequential BFS on %s\n",
+                    name.c_str());
+      }
       vid_t depth = 0;
       for (vid_t d : r.dist) depth = std::max(depth, d);
       table.add_row({name + "*", std::to_string(depth), Table::num(t * 1e3, 3)});
@@ -206,38 +226,7 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-  // --verify: the frontier-indexed pull shape (γ window, this PR) must be a
-  // pure perf substitution — CC comp arrays and BFS distance arrays are
-  // asserted bit-identical with the γ window enabled (frontier-aware pull
-  // fires at medium densities) and disabled (γ=0, dense pull only).
-  bool verify_ok = true;
-  if (verify) {
-    std::printf("\nverify: frontier-indexed pull == dense pull, per graph:\n");
-    for (const std::string& name : names) {
-      const Csr& g = bench::sm_load_graph(sm, name);
-      CcOptions cc_on, cc_off;
-      cc_on.strategy = cc_off.strategy = StrategyKind::FrontierExploit;
-      cc_on.gamma = 2.0;
-      cc_off.gamma = 0.0;
-      const bool cc_same = connected_components(g, cc_on).comp ==
-                           connected_components(g, cc_off).comp;
-      vid_t root = 0;
-      for (vid_t v = 1; v < g.n(); ++v) {
-        if (g.degree(v) > g.degree(root)) root = v;
-      }
-      DirOptParams bfs_on, bfs_off;
-      bfs_on.gamma = 2.0;
-      bfs_off.gamma = 0.0;
-      const bool bfs_same = bfs_direction_optimizing(g, root, bfs_on).dist ==
-                            bfs_direction_optimizing(g, root, bfs_off).dist;
-      std::printf("  %-5s cc %s, bfs %s\n", name.c_str(),
-                  cc_same ? "identical" : "DIVERGED",
-                  bfs_same ? "identical" : "DIVERGED");
-      verify_ok = verify_ok && cc_same && bfs_same;
-    }
-    json.add_string("frontier_pull_verify", verify_ok ? "ok" : "failed");
-  }
-
+  if (verify) json.add_string("verify", verify_ok ? "match" : "diverged");
   json.add_string("s5_ordering", ordering_ok ? "holds" : "violated");
   bench::add_machine_stanza(json);
   json.write(json_path);

@@ -304,56 +304,6 @@ void BM_PerDirectionThresholdsScan(benchmark::State& state) {
 }
 BENCHMARK(BM_PerDirectionThresholdsScan);
 
-// --- frontier-aware pull vs dense pull at fixed frontier densities -----------
-//
-// Same CcPropagate work as the rows above, but only every `stride`-th vertex
-// is active. The FrontierPull row consults the transposed frontier index and
-// gallops over in-arc runs from inactive source blocks; the DensePullSparse
-// sibling scans every arc and filters per-arc with the changed bitmap (what
-// CC's FrontierExploit pull did before the index). Their gap, as a function
-// of 1/stride density, is the window DirectionPolicy::pull_shape's gamma is
-// tuned against (bench/frontier_sweep.cpp sweeps it finely).
-
-engine::VertexSet strided_frontier(const Csr& g, vid_t stride) {
-  std::vector<vid_t> ids;
-  for (vid_t v = 0; v < g.n(); v += stride) ids.push_back(v);
-  return engine::VertexSet(g.n(), std::move(ids));
-}
-
-void BM_EdgeMapFrontierPull(benchmark::State& state) {
-  const Csr& g = micro_graph();
-  const engine::VertexSet frontier =
-      strided_frontier(g, static_cast<vid_t>(state.range(0)));
-  std::vector<vid_t> comp(static_cast<std::size_t>(g.n()));
-  engine::Workspace ws(g.n());
-  for (auto _ : state) {
-    for (vid_t v = 0; v < g.n(); ++v) comp[static_cast<std::size_t>(v)] = v;
-    engine::FrontierIndex& idx = ws.frontier_index();
-    idx.build(frontier.ids());
-    auto out = engine::frontier_pull(g, ws, idx,
-                                     detail::CcPropagate{comp.data(), nullptr});
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs());
-}
-BENCHMARK(BM_EdgeMapFrontierPull)->Arg(4)->Arg(32)->Arg(256);
-
-void BM_EdgeMapDensePullSparse(benchmark::State& state) {
-  const Csr& g = micro_graph();
-  const engine::VertexSet frontier =
-      strided_frontier(g, static_cast<vid_t>(state.range(0)));
-  std::vector<vid_t> comp(static_cast<std::size_t>(g.n()));
-  engine::Workspace ws(g.n());
-  for (auto _ : state) {
-    for (vid_t v = 0; v < g.n(); ++v) comp[static_cast<std::size_t>(v)] = v;
-    auto out = engine::dense_pull(
-        g, ws, detail::CcPropagate{comp.data(), &frontier.dense()});
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(state.iterations() * g.num_arcs());
-}
-BENCHMARK(BM_EdgeMapDensePullSparse)->Arg(4)->Arg(32)->Arg(256);
-
 // --- full CC runs under each §5 policy bundle --------------------------------
 
 void cc_policy_bench(benchmark::State& state, engine::StrategyKind k) {

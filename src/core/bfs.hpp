@@ -24,7 +24,6 @@
 #include "obs/trace.hpp"
 #include "perf/instr.hpp"
 #include "util/check.hpp"
-#include "util/timer.hpp"
 
 namespace pushpull {
 
@@ -32,7 +31,6 @@ struct BfsResult {
   std::vector<vid_t> dist;    // hop distance; -1 = unreachable
   std::vector<vid_t> parent;  // BFS-tree parent; -1 = root/unreachable
   int levels = 0;             // number of non-empty frontiers processed
-  std::vector<double> level_times;  // wall seconds per level
   std::vector<Direction> level_dirs;  // direction used per level
 };
 
@@ -100,12 +98,10 @@ BfsResult bfs_push(const G& g, vid_t root, Instr instr = {}) {
   opt.region = 10;
   vid_t level = 0;
   while (!frontier.empty()) {
-    WallTimer timer;
     ++level;
     frontier = engine::sparse_push(
         g, ws, frontier,
         detail::BfsPushClaim{r.dist.data(), r.parent.data(), level}, opt, instr);
-    r.level_times.push_back(timer.elapsed_s());
     r.level_dirs.push_back(Direction::Push);
     ++r.levels;
   }
@@ -122,13 +118,11 @@ BfsResult bfs_pull(const G& g, vid_t root, Instr instr = {}) {
   opt.region = 11;
   vid_t level = 0;
   for (;;) {
-    WallTimer timer;
     ++level;
     const engine::VertexSet claimed = engine::dense_pull(
         g, ws, detail::BfsPullAdopt{r.dist.data(), r.parent.data(), level},
         opt, instr);
     if (claimed.empty()) break;
-    r.level_times.push_back(timer.elapsed_s());
     r.level_dirs.push_back(Direction::Pull);
     ++r.levels;
   }
@@ -140,10 +134,6 @@ BfsResult bfs_pull(const G& g, vid_t root, Instr instr = {}) {
 struct DirOptParams {
   double alpha = kSwitchAlpha;  // push→pull when frontier out-edges > m/alpha
   double beta = kSwitchBeta;    // pull→push when frontier size < n/beta
-  // Frontier-aware pull window (engine::DirectionParams::gamma): a pull level
-  // whose frontier holds under total/γ of the arc mass consults the
-  // transposed frontier index instead of sweeping every in-arc. 0 disables.
-  double gamma = 3.0;
 };
 
 template <CsrLike G, class Instr = NullInstr, class TracerT = obs::NullTracer>
@@ -156,13 +146,11 @@ BfsResult bfs_direction_optimizing(const G& g, vid_t root,
   engine::VertexSet frontier = engine::VertexSet::single(n, root);
   double frontier_out_edges = g.degree(root);
   engine::DirectionPolicy policy(engine::StrategyKind::GenericSwitch,
-                                 {p.alpha, p.beta, 0.0, p.gamma},
-                                 Direction::Push);
+                                 {p.alpha, p.beta}, Direction::Push);
   engine::EdgeMapOptions opt;
   vid_t level = 0;
 
   while (!frontier.empty()) {
-    WallTimer timer;
     ++level;
     const bool trace = obs::tracing(tracer);
     const std::int64_t frontier_size = frontier.size();
@@ -181,19 +169,6 @@ BfsResult bfs_direction_optimizing(const G& g, vid_t root,
           g, ws, frontier,
           detail::BfsPushClaim{r.dist.data(), r.parent.data(), level}, opt,
           instr, stp);
-    } else if (policy.pull_shape(active_work, total_work) ==
-               engine::PullShape::FrontierIndexed) {
-      // Bottom-up over the indexed frontier: the previous level is exactly
-      // the set BfsPullAdopt listens to (dist == level-1), so skipped blocks
-      // can never hide a parent and the adopted parent is the same first
-      // in-neighbor the dense sweep would find.
-      opt.region = 13;
-      engine::FrontierIndex& idx = ws.frontier_index();
-      idx.build(frontier.ids());
-      frontier = engine::frontier_pull(
-          g, ws, idx,
-          detail::BfsPullAdopt{r.dist.data(), r.parent.data(), level}, opt,
-          instr, stp);
     } else {
       // Bottom-up step: the engine's dense pull recomputes the frontier as
       // "vertices claimed at `level`".
@@ -203,7 +178,6 @@ BfsResult bfs_direction_optimizing(const G& g, vid_t root,
           opt, instr, stp);
     }
     frontier_out_edges = frontier.out_degree_sum(g);
-    r.level_times.push_back(timer.elapsed_s());
     r.level_dirs.push_back(dir);
     ++r.levels;
     if (trace) {

@@ -30,12 +30,10 @@
 
 namespace pushpull {
 
+// GS switches at the shared (kSwitchAlpha, kSwitchBeta) thresholds.
 struct CcOptions {
   engine::StrategyKind strategy = engine::StrategyKind::GreedySwitch;
   double grs_threshold = 0.05;   // GrS: sequential tail below this fraction
-  double alpha = kSwitchAlpha;   // GS work threshold
-  double beta = kSwitchBeta;     // GS count threshold
-  double gamma = 3.0;            // frontier-aware pull window; 0 disables
 };
 
 struct CcResult {
@@ -54,7 +52,7 @@ struct CcPropagate {
   template <class Ctx>
   bool update(Ctx& ctx, vid_t s, vid_t d, eid_t) const {
     if (changed != nullptr && !changed->test(s)) return false;
-    return ctx.min(comp[d], atomic_load(comp[s]));
+    return ctx.min(comp[d], ctx.load(comp[s]));
   }
 };
 
@@ -71,8 +69,7 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
 
   engine::Workspace ws(n);
   engine::DirectionPolicy policy(
-      opt.strategy, {opt.alpha, opt.beta, opt.grs_threshold, opt.gamma},
-      Direction::Push);
+      opt.strategy, {.grs_threshold = opt.grs_threshold}, Direction::Push);
   engine::EdgeMapOptions emo;
   emo.region = 70;
   emo.dedup_output = true;
@@ -109,8 +106,8 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
         ev.active_work = static_cast<std::int64_t>(active_work);
         ev.total_work = static_cast<std::int64_t>(g.num_arcs());
         ev.total_count = n;
-        ev.alpha = opt.alpha;
-        ev.beta = opt.beta;
+        ev.alpha = policy.params().alpha;
+        ev.beta = policy.params().beta;
         ev.t0_ns = t0;
         ev.dur_ns = obs::now_ns() - t0;
         obs::record_round(tracer, ev);
@@ -140,18 +137,6 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
                                      detail::CcPropagate{r.comp.data(), nullptr},
                                      emo, instr, stp);
       }
-    } else if (frontier_exploit &&
-               policy.pull_shape(active_work,
-                                 static_cast<double>(g.num_arcs())) ==
-                   engine::PullShape::FrontierIndexed) {
-      // Medium-density pull: the changed set is exactly what CcPropagate
-      // listens to, so the index filter replaces the per-arc bitmap test and
-      // whole blocks with no movers are skipped unread.
-      engine::FrontierIndex& idx = ws.frontier_index();
-      idx.build(changed.ids());
-      changed = engine::frontier_pull(
-          g, ws, idx, detail::CcPropagate{r.comp.data(), nullptr}, emo, instr,
-          stp);
     } else {
       changed = engine::dense_pull(
           g, ws,
@@ -170,8 +155,8 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
       ev.active_work = static_cast<std::int64_t>(active_work);
       ev.total_work = static_cast<std::int64_t>(g.num_arcs());
       ev.total_count = n;
-      ev.alpha = opt.alpha;
-      ev.beta = opt.beta;
+      ev.alpha = policy.params().alpha;
+      ev.beta = policy.params().beta;
       ev.updates = st.updates;
       ev.t0_ns = t0;
       ev.dur_ns = obs::now_ns() - t0;

@@ -223,17 +223,13 @@ std::vector<vid_t> bfs_digraph(const Digraph& g, vid_t root, Direction dir,
 
 // --- Strategy-driven directed BFS (§5 over DigraphView) ----------------------
 
+// The switch thresholds are (kSwitchAlpha, kSwitchBeta) refined per
+// direction (§4.8): scaled by the view's d̂_in/d̂_out skew so sink-heavy
+// digraphs flip to pull sooner and leave it later (switch_defaults.hpp has
+// the model). Symmetric views scale by exactly 1.
 struct DigraphBfsOptions {
   engine::StrategyKind strategy = engine::StrategyKind::GenericSwitch;
-  double alpha = kSwitchAlpha;  // push→pull when frontier out-arcs > m/α
-  double beta = kSwitchBeta;    // pull→push when frontier size < n/β
   double grs_threshold = 0.0;   // GrS: sequential tail below this fraction
-  // Per-direction refinement (§4.8): scale (α, β) by the view's d̂_in/d̂_out
-  // skew so sink-heavy digraphs flip to pull sooner and leave it later
-  // (switch_defaults.hpp has the model). Symmetric views scale by exactly 1.
-  bool per_direction = true;
-  // Frontier-aware pull window; 0 disables the indexed pull path.
-  double gamma = 3.0;
 };
 
 struct DigraphBfsResult {
@@ -259,12 +255,9 @@ DigraphBfsResult bfs_digraph_strategy(const View& view, vid_t root,
   r.dist[static_cast<std::size_t>(root)] = 0;
 
   engine::Workspace ws(n);
-  engine::DirectionParams params{opt.alpha, opt.beta, opt.grs_threshold,
-                                 opt.gamma};
-  if (opt.per_direction) {
-    params = params.with_thresholds(
-        engine::per_direction_thresholds(view, opt.alpha, opt.beta));
-  }
+  const engine::DirectionParams params =
+      engine::DirectionParams{.grs_threshold = opt.grs_threshold}
+          .with_thresholds(engine::per_direction_thresholds(view));
   engine::DirectionPolicy policy(opt.strategy, params, Direction::Push);
   engine::EdgeMapOptions emo;
   emo.region = 74;
@@ -326,17 +319,6 @@ DigraphBfsResult bfs_digraph_strategy(const View& view, vid_t root,
       frontier = engine::sparse_push(
           view, ws, frontier, detail::DirBfsClaim{r.dist.data(), level}, emo,
           instr, stp);
-    } else if (policy.pull_shape(active_work,
-                                 static_cast<double>(view.num_arcs())) ==
-               engine::PullShape::FrontierIndexed) {
-      // Medium-density bottom-up: the previous level (the current frontier)
-      // is exactly the set DirBfsAdopt listens to, so the indexed sweep
-      // claims the same vertices as a dense pull would.
-      engine::FrontierIndex& idx = ws.frontier_index();
-      idx.build(frontier.ids());
-      frontier = engine::frontier_pull(
-          view, ws, idx, detail::DirBfsAdopt{r.dist.data(), level}, emo, instr,
-          stp);
     } else {
       frontier = engine::dense_pull(
           view, ws, detail::DirBfsAdopt{r.dist.data(), level}, emo, instr, stp);

@@ -203,10 +203,9 @@ struct MultiSourceBfsResult {
   }
 };
 
+// The switch runs at the shared (kSwitchAlpha, kSwitchBeta) thresholds.
 struct MultiSourceBfsOptions {
   engine::StrategyKind strategy = engine::StrategyKind::GenericSwitch;
-  double alpha = kSwitchAlpha;
-  double beta = kSwitchBeta;
 };
 
 namespace detail {
@@ -294,8 +293,7 @@ MultiSourceBfsResult multi_source_bfs(const View& view,
 
   engine::Workspace ws(n);
   engine::EdgeMapOptions emo;
-  engine::DirectionPolicy policy(
-      opt.strategy, engine::DirectionParams{opt.alpha, opt.beta});
+  engine::DirectionPolicy policy(opt.strategy);
   engine::VertexSet frontier(n, std::move(init));
   const double total_work = static_cast<double>(view.num_arcs());
 

@@ -2,9 +2,9 @@
 //
 // One source of truth for the Beamer direction-optimizing thresholds (α = 14,
 // β = 24) that every switching surface shares: core DirOptParams, the engine's
-// DirectionParams, the directed DigraphBfsOptions, CcOptions and the dist
-// FrontierHeuristic all default from here instead of each repeating the
-// literals.
+// DirectionParams and the dist FrontierHeuristic default from here, and CC,
+// directed BFS and multi-source BFS switch at these values, instead of each
+// repeating the literals.
 //
 // On digraphs the dichotomy is asymmetric (§4.8): pushing pays the frontier's
 // *out*-arc mass, pulling scans the unvisited set's *in*-arcs, and the two

@@ -9,9 +9,10 @@
 //
 //   World(n, BackendKind::Emu)  thread-per-rank emulation; reported
 //                               communication time is the CommCosts model
-//                               applied to RankStats counters (the container
-//                               has 1-2 cores — wall time of oversubscribed
-//                               threads would measure the scheduler).
+//                               applied to RankStats counters (benches run
+//                               up to 16 ranks on a 4-vCPU box — wall time
+//                               of oversubscribed threads would measure the
+//                               scheduler).
 //   World(n, BackendKind::Shm)  forked processes over POSIX shared memory;
 //                               windows use real process-shared atomics, the
 //                               float-accumulate lock protocol is a real

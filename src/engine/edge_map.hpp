@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -48,7 +47,6 @@
 #include "core/direction.hpp"
 #include "core/frontier.hpp"
 #include "engine/context.hpp"
-#include "engine/frontier_index.hpp"
 #include "engine/graph_view.hpp"
 #include "engine/policy.hpp"
 #include "engine/vertex_set.hpp"
@@ -109,20 +107,11 @@ class Workspace {
     for (vid_t v : ids) seen_[static_cast<std::size_t>(v)] = 0;
   }
 
-  // Lazy like the dedup bitmap: the O(n/64) word array exists only once a
-  // kernel actually runs a frontier-indexed pull. Callers build() it from the
-  // round's sparse frontier before the parallel sweep.
-  FrontierIndex& frontier_index() {
-    if (!index_) index_ = std::make_unique<FrontierIndex>(n_);
-    return *index_;
-  }
-
  private:
   vid_t n_;
   FrontierBuffers buffers_;
   SpinlockPool locks_;
   std::vector<std::uint8_t> seen_;
-  std::unique_ptr<FrontierIndex> index_;
 };
 
 namespace detail {
@@ -224,112 +213,6 @@ inline std::pair<bool, std::int64_t> pull_edges(const G& in_csr, Ctx& ctx,
         ++hits;
         out = true;
         if constexpr (break_on_update<F>()) break;
-      }
-    }
-  };
-  if constexpr (requires { f.dest_data(ctx, d); }) {
-    visit(f.dest_data(ctx, d));
-  } else {
-    visit();
-  }
-  if constexpr (requires { f.finalize(ctx, d); }) {
-    out = f.finalize(ctx, d);
-  }
-  return {out, hits};
-}
-
-// Galloping search for the first arc index in (e, end) whose target is >= lim
-// — the resume point after skipping an all-inactive 64-id source block.
-// Exponential probe then binary search: short skips (the common case inside a
-// clustered frontier) cost a couple of probes, long runs cost O(log run).
-template <CsrLike G>
-inline eid_t skip_past_block(const G& in_csr, eid_t e, eid_t end, vid_t lim) {
-  eid_t lo = e;  // in_csr.edge_target(lo) < lim holds throughout
-  eid_t step = 1;
-  while (lo + step < end && in_csr.edge_target(lo + step) < lim) {
-    lo += step;
-    step <<= 1;
-  }
-  eid_t hi = lo + step < end ? lo + step : end;  // target(hi) >= lim or hi==end
-  while (lo + 1 < hi) {
-    const eid_t mid = lo + (hi - lo) / 2;
-    if (in_csr.edge_target(mid) < lim) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
-// Scans d's in-neighbors through the frontier index. Two walks, chosen per
-// row — both visit the active arcs in ascending order, so results (and e.g.
-// BFS first-parent identity under kBreakOnUpdate) are independent of the
-// choice:
-//
-//   filter walk — linear over the row, one membership-word AND per arc.
-//     O(row). Right when most blocks are active anyway (dense-ish frontier):
-//     it degenerates to dense pull with a 64x smaller membership bitmap.
-//   block walk — merge the sorted touched-block list against the sorted row,
-//     galloping into the row for each active block and reading only the arcs
-//     inside active blocks. O(touched · log row + active arcs). Right when
-//     the frontier occupies few blocks: whole inactive runs are skipped
-//     unread, which is where the Grossman-Kozyrakis win lives.
-//
-// update() runs only for arcs whose source bit is set either way. Hooks
-// (dest_data/begin_dest/finalize, kBreakOnUpdate) mirror pull_edges.
-template <CsrLike G, class Ctx, class F, class Instr>
-inline std::pair<bool, std::int64_t> pull_edges_indexed(
-    const G& in_csr, const FrontierIndex& idx, Ctx& ctx, F& f, vid_t d,
-    Instr& instr) {
-  if constexpr (requires { f.begin_dest(ctx, d); }) {
-    f.begin_dest(ctx, d);
-  }
-  bool out = false;
-  std::int64_t hits = 0;
-  const eid_t end = in_csr.edge_end(d);
-  auto visit = [&](auto&&... payload) {
-    eid_t e = in_csr.edge_begin(d);
-    // The block walk needs the row long enough to amortize its gallops: ~4
-    // row arcs per touched block for the probes themselves, plus an absolute
-    // floor — a short row streams through the filter walk faster than any
-    // amount of skipping, prefetched sequential reads being nearly free.
-    const bool use_blocks =
-        static_cast<std::size_t>(end - e) >
-        4 * idx.touched_blocks() + 64;
-    if (use_blocks) {
-      for (const std::size_t blk : idx.touched()) {
-        if (e >= end) break;
-        const vid_t lo = static_cast<vid_t>(blk) << FrontierIndex::kBlockBits;
-        if (in_csr.edge_target(e) < lo) {
-          e = skip_past_block(in_csr, e, end, lo);
-          if (e >= end) break;
-        }
-        const std::uint64_t word = idx.word_at(blk);
-        const vid_t hi = lo + FrontierIndex::kBlockSize;
-        for (; e < end; ++e) {
-          const vid_t s = in_csr.edge_target(e);
-          if (s >= hi) break;
-          instr.branch_cond();
-          if (((word >> (s & (FrontierIndex::kBlockSize - 1))) & 1) != 0 &&
-              f.update(ctx, s, d, e, payload...)) {
-            ++hits;
-            out = true;
-            if constexpr (break_on_update<F>()) return;
-          }
-        }
-      }
-      return;
-    }
-    for (; e < end; ++e) {
-      const vid_t s = in_csr.edge_target(e);
-      const std::uint64_t word = idx.word_for(s);
-      instr.branch_cond();
-      if (((word >> (s & (FrontierIndex::kBlockSize - 1))) & 1) != 0 &&
-          f.update(ctx, s, d, e, payload...)) {
-        ++hits;
-        out = true;
-        if constexpr (break_on_update<F>()) return;
       }
     }
   };
@@ -529,52 +412,6 @@ VertexSet sparse_pull(const G& g, Workspace& ws, const VertexSet& dests, F&& f,
                       const EdgeMapOptions& opt = {}, Instr instr = {},
                       EdgeMapStats* stats = nullptr) {
   return sparse_pull(g, ws, dests.ids(), std::forward<F>(f), opt, instr, stats);
-}
-
-// --- frontier-aware pull (dense destination sweep over an indexed frontier) --
-//
-// The medium-density pull shape: iterate every destination like dense_pull,
-// but consult a transposed frontier index so only in-arcs whose source block
-// holds an active vertex are read (frontier_index.hpp has the cost model).
-// The index must over-approximate the sources whose update() could fire —
-// e.g. the previous BFS level, CC's changed set — and functors keep their own
-// source predicates, so the result is identical to dense_pull over the same
-// functor. PlainCtx like every pull mode: zero atomics/locks by construction.
-//
-// Callers build the index from the round's sparse frontier first:
-//   FrontierIndex& idx = ws.frontier_index();
-//   idx.build(frontier.ids());
-//   out = frontier_pull(g, ws, idx, functor, opt, instr);
-
-template <EdgeMapGraph G, class F, class Instr = NullInstr>
-VertexSet frontier_pull(const G& g, Workspace& ws, const FrontierIndex& idx,
-                        F&& f, const EdgeMapOptions& opt = {}, Instr instr = {},
-                        EdgeMapStats* stats = nullptr) {
-  const auto& in_csr = detail::pull_csr(g);
-  WallTimer timer;
-  const vid_t n = in_csr.n();
-  std::int64_t updates = 0;
-#pragma omp parallel reduction(+ : updates)
-  {
-    PlainCtx<Instr> ctx(instr, ws.locks());
-#pragma omp for schedule(dynamic, 256)
-    for (vid_t d = 0; d < n; ++d) {
-      if (!detail::pass_cond(f, d)) continue;
-      instr.code_region(opt.region);
-      const auto [out, hits] =
-          detail::pull_edges_indexed(in_csr, idx, ctx, f, d, instr);
-      updates += hits;
-      if (opt.track_output && out) ws.buffers().push_local(d);
-    }
-  }
-  VertexSet out(n);
-  ws.buffers().merge_into(out.mutable_ids());
-  if (stats != nullptr) {
-    stats->mode = Mode::FrontierPull;
-    stats->updates = updates;
-    stats->seconds = timer.elapsed_s();
-  }
-  return out;
 }
 
 // --- partition-aware dense push (Algorithm 8) --------------------------------

@@ -37,10 +37,6 @@ enum class Mode {
   DensePull,   // iterate all destinations, scan in-edges, early-break option
   SparsePull,  // iterate a sparse destination set, scan in-edges
   DensePush,   // iterate all sources, write along out-edges
-  FrontierPull,  // dense destination sweep consulting a per-round transposed
-                 // frontier index: whole 64-source blocks with no active
-                 // member are skipped, the rest filtered per-arc (Grossman &
-                 // Kozyrakis's frontier-indexed pull). Still PlainCtx.
 };
 
 inline const char* to_string(Mode m) {
@@ -49,7 +45,6 @@ inline const char* to_string(Mode m) {
     case Mode::DensePull: return "dense-pull";
     case Mode::SparsePull: return "sparse-pull";
     case Mode::DensePush: return "dense-push";
-    case Mode::FrontierPull: return "frontier-pull";
   }
   return "?";
 }
@@ -86,12 +81,6 @@ StrategyKind parse_strategy(const std::string& name);
 // "all" → every strategy, otherwise the one named policy.
 std::vector<StrategyKind> parse_strategy_list(const std::string& name);
 
-// Which loop shape a pull-direction superstep should take.
-enum class PullShape {
-  Dense,            // full in-arc sweep (early break pays at high density)
-  FrontierIndexed,  // consult the transposed frontier index (medium density)
-};
-
 // Direction selection for one superstep, shared by every switching kernel.
 // Wraps SwitchController with the strategy vocabulary so kernels write
 // `policy.choose(...)` instead of hand-rolling the Beamer heuristic.
@@ -99,11 +88,6 @@ struct DirectionParams {
   double alpha = kSwitchAlpha;  // push→pull when active_work > total/α
   double beta = kSwitchBeta;    // pull→push when active_count < total/β
   double grs_threshold = 0.0;   // >0: suggest a sequential tail below this
-  // Frontier-aware pull window: a pull superstep whose frontier supplies less
-  // than total/γ of the arc mass uses the indexed loop instead of the full
-  // dense sweep (above that, most source blocks are active and the index is
-  // pure overhead). 0 disables the indexed path entirely.
-  double gamma = 3.0;
 
   DirectionParams with_thresholds(const SwitchThresholds& t) const {
     DirectionParams p = *this;
@@ -123,9 +107,7 @@ template <class View>
     v.out_degree(x);
     v.in_degree(x);
   }
-SwitchThresholds per_direction_thresholds(const View& view,
-                                          double alpha = kSwitchAlpha,
-                                          double beta = kSwitchBeta) {
+SwitchThresholds per_direction_thresholds(const View& view) {
   // Fast path: views whose CSRs cache their nonzero-degree census (Csr does —
   // the count is a property of the adjacency structure, computed once per
   // graph) answer in O(1), hoisting the per-call O(n) reduction out of every
@@ -148,7 +130,7 @@ SwitchThresholds per_direction_thresholds(const View& view,
   }
   return pushpull::per_direction_thresholds(
       static_cast<double>(view.num_arcs()), static_cast<double>(out_sources),
-      static_cast<double>(in_sinks), alpha, beta);
+      static_cast<double>(in_sinks));
 }
 
 class DirectionPolicy {
@@ -188,19 +170,6 @@ class DirectionPolicy {
       case StrategyKind::PartitionAware: return Direction::Push;
       default: return ctl_.current();
     }
-  }
-
-  // Pull-flavor decision for a superstep that will pull: the indexed loop
-  // wins while the frontier supplies a sub-γ share of the arc mass (few
-  // source blocks active → whole-block skips dominate); at higher densities
-  // the dense sweep's early break already touches nearly every block, so the
-  // index is overhead. Callers that cannot supply a frontier (no sparse ids
-  // in hand) simply don't ask.
-  PullShape pull_shape(double active_work, double total_work) const noexcept {
-    return (params_.gamma > 0.0 &&
-            active_work * params_.gamma < total_work)
-               ? PullShape::FrontierIndexed
-               : PullShape::Dense;
   }
 
   // GreedySwitch decision: true once the active count falls below

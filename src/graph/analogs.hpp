@@ -17,7 +17,7 @@
 // average degree, diameter and degree skew; the analogs span the same three
 // regimes. `scale_num/scale_den` uniformly shrinks or grows the vertex counts
 // so benchmarks can trade fidelity for runtime (the default targets tens of
-// thousands of vertices — minutes of total bench time on a 2-core box).
+// thousands of vertices — minutes of total bench time on a 4-vCPU box).
 #pragma once
 
 #include <cstdint>

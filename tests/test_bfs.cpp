@@ -98,7 +98,7 @@ TEST(Bfs, PushRecordsPushDirections) {
   Csr g = make_undirected(50, path_edges(50));
   const BfsResult r = bfs_push(g, 0);
   for (Direction d : r.level_dirs) EXPECT_EQ(d, Direction::Push);
-  EXPECT_EQ(r.level_times.size(), static_cast<std::size_t>(r.levels));
+  EXPECT_EQ(r.level_dirs.size(), static_cast<std::size_t>(r.levels));
 }
 
 TEST(DirectionOptimizing, SwitchesToPullOnDenseGraph) {

@@ -214,18 +214,6 @@ TEST_F(InstrFixture, EnginePullModesIssueZeroSyncOps) {
                       engine::EdgeMapOptions{}, CountingInstr(pc));
   EXPECT_EQ(pc.total().atomics, 0u);
   EXPECT_EQ(pc.total().locks, 0u);
-
-  // Frontier-aware pull is a pull shape like any other: the index narrows
-  // which arcs are read, never how updates are applied.
-  pc.reset();
-  std::vector<vid_t> active{0, 3, 64, 65, 200};
-  engine::FrontierIndex& idx = ws.frontier_index();
-  idx.build(active);
-  engine::frontier_pull(g_, ws, idx, AllPrimsFunctor{ints.data(), dbls.data()},
-                        engine::EdgeMapOptions{}, CountingInstr(pc));
-  EXPECT_EQ(pc.total().atomics, 0u);
-  EXPECT_EQ(pc.total().locks, 0u);
-  EXPECT_GT(pc.total().reads, 0u);
 }
 
 // Integer-add push functor: counts exactly one synchronized update per edge.
@@ -273,15 +261,18 @@ TEST_F(InstrFixture, EnginePushAtomicsEqualCrossOwnerUpdates) {
 }
 
 // The engine's attribution carries into the new algorithms for free: CC pull
-// rounds are sync-free, CC push rounds pay one atomic per improving min, and
-// k-core's peel decrements are integer FAAs.
+// rounds are sync-free and read each scanned in-arc's source label once, CC
+// push rounds pay one atomic per improving min, and k-core's peel decrements
+// are integer FAAs.
 TEST_F(InstrFixture, EngineClientsInheritAttribution) {
   PerfCounters pc(omp_get_max_threads());
   CcOptions pull_opt;
   pull_opt.strategy = engine::StrategyKind::StaticPull;
-  connected_components(g_, pull_opt, CountingInstr(pc));
+  const CcResult pulled = connected_components(g_, pull_opt, CountingInstr(pc));
   EXPECT_EQ(pc.total().atomics, 0u);
   EXPECT_EQ(pc.total().locks, 0u);
+  EXPECT_EQ(pc.total().reads,
+            static_cast<std::uint64_t>(pulled.rounds) * g_.num_arcs());
 
   pc.reset();
   CcOptions push_opt;
