@@ -21,6 +21,7 @@
 
 #include <vector>
 
+#include "engine/context.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/policy.hpp"
 #include "graph/csr.hpp"
@@ -83,14 +84,20 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
     // Greedy-Switch: finish the small remainder with a sequential worklist.
     if (policy.suggest_sequential(active_count, static_cast<double>(n)) &&
         r.rounds > 0) {
+      // Counted like an engine round: one read of the popped label, one per
+      // scanned arc, one write per lowered label.
       const std::uint64_t t0 = trace ? obs::now_ns() : 0;
+      const CounterBlock c0 = trace ? obs::instr_snapshot(instr) : CounterBlock{};
+      engine::PlainCtx<Instr> ctx(instr);
+      vid_t* comp = r.comp.data();
       std::vector<vid_t> work(changed.ids().begin(), changed.ids().end());
       while (!work.empty()) {
         const vid_t v = work.back();
         work.pop_back();
+        const vid_t label = ctx.load(comp[v]);
         for (vid_t u : g.neighbors(v)) {
-          if (r.comp[static_cast<std::size_t>(v)] < r.comp[static_cast<std::size_t>(u)]) {
-            r.comp[static_cast<std::size_t>(u)] = r.comp[static_cast<std::size_t>(v)];
+          if (label < ctx.load(comp[u])) {
+            ctx.store(comp[u], label);
             work.push_back(u);
           }
         }
@@ -110,6 +117,7 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
         ev.beta = policy.params().beta;
         ev.t0_ns = t0;
         ev.dur_ns = obs::now_ns() - t0;
+        ev.instr = obs::counter_delta(obs::instr_snapshot(instr), c0);
         obs::record_round(tracer, ev);
       }
       break;

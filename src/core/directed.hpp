@@ -23,6 +23,7 @@
 
 #include "core/direction.hpp"
 #include "core/pagerank.hpp"
+#include "engine/context.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/graph_view.hpp"
 #include "engine/policy.hpp"
@@ -274,14 +275,19 @@ DigraphBfsResult bfs_digraph_strategy(const View& view, vid_t root,
     if (policy.suggest_sequential(static_cast<double>(frontier.size()),
                                   static_cast<double>(n)) &&
         level > 0) {
+      // Counted like an engine round: one read of the popped level, one per
+      // scanned arc, one write per discovered vertex.
       const std::uint64_t t0 = trace ? obs::now_ns() : 0;
+      const CounterBlock c0 = trace ? obs::instr_snapshot(instr) : CounterBlock{};
+      engine::PlainCtx<Instr> ctx(instr);
+      vid_t* dist = r.dist.data();
       std::vector<vid_t> queue(frontier.ids().begin(), frontier.ids().end());
       for (std::size_t head = 0; head < queue.size(); ++head) {
         const vid_t v = queue[head];
+        const vid_t next = ctx.load(dist[v]) + 1;
         for (vid_t u : view.out().neighbors(v)) {
-          if (r.dist[static_cast<std::size_t>(u)] < 0) {
-            r.dist[static_cast<std::size_t>(u)] =
-                r.dist[static_cast<std::size_t>(v)] + 1;
+          if (ctx.load(dist[u]) < 0) {
+            ctx.store(dist[u], next);
             queue.push_back(u);
           }
         }
@@ -301,6 +307,7 @@ DigraphBfsResult bfs_digraph_strategy(const View& view, vid_t root,
         ev.beta = policy.params().beta;
         ev.t0_ns = t0;
         ev.dur_ns = obs::now_ns() - t0;
+        ev.instr = obs::counter_delta(obs::instr_snapshot(instr), c0);
         obs::record_round(tracer, ev);
       }
       break;

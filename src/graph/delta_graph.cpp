@@ -6,31 +6,22 @@ namespace pushpull {
 
 // --- SnapshotCsr -------------------------------------------------------------
 
-SnapshotCsr::SnapshotCsr(std::shared_ptr<const Csr> base,
-                         std::shared_ptr<const PatchArena> arena,
-                         std::vector<vid_t> touched, std::vector<Row> rows)
-    : base_(std::move(base)),
-      arena_(std::move(arena)),
-      touched_(std::move(touched)),
-      rows_(std::move(rows)) {
+SnapshotCsr::SnapshotCsr(std::shared_ptr<const Csr> base)
+    : base_(std::move(base)) {
   PP_CHECK(base_ != nullptr);
-  PP_CHECK(rows_.size() == touched_.size());
-  PP_CHECK(std::is_sorted(touched_.begin(), touched_.end()));
-  PP_CHECK(arena_ != nullptr || touched_.empty());
-  if (arena_ != nullptr) {
-    PP_CHECK((arena_->weights() != nullptr) == base_->has_weights());
-    adj_ = arena_->adj();
-    w_ = arena_->weights();
-  }
   base_arcs_ = base_->num_arcs();
   arcs_ = base_arcs_;
-  for (std::size_t s = 0; s < touched_.size(); ++s) {
-    PP_CHECK(0 <= rows_[s].begin && rows_[s].begin <= rows_[s].end &&
-             static_cast<std::size_t>(rows_[s].end) <= arena_->size());
-    patched_arcs_ += rows_[s].end - rows_[s].begin;
-    arcs_ -= base_->degree(touched_[s]);
-  }
-  arcs_ += patched_arcs_;
+  pages_.resize((static_cast<std::size_t>(base_->n()) + kPageSize - 1) >>
+                kPageBits);
+}
+
+void SnapshotCsr::set_storage(std::shared_ptr<const PatchArena> arena,
+                              std::shared_ptr<const PagePool> pool) {
+  PP_CHECK((arena->weights() != nullptr) == base_->has_weights());
+  arena_ = std::move(arena);
+  pool_ = std::move(pool);
+  adj_ = arena_->adj();
+  w_ = arena_->weights();
 }
 
 bool SnapshotCsr::has_edge(vid_t u, vid_t v) const noexcept {
@@ -296,27 +287,95 @@ PatchArena::Row DeltaGraph::append_merged(PatchArena& arena, const Csr& base,
   });
 }
 
+void DeltaGraph::write_rows(SnapshotCsr& snap, const Csr& base,
+                            std::span<const vid_t> changed,
+                            std::span<const VertexOverlay* const> ovs,
+                            PatchArena& arena, PagePool& pool, bool new_pool,
+                            epoch_t e, const SnapshotCsr* move_from) {
+  using Row = SnapshotCsr::Row;
+  const eid_t base_arcs = base.num_arcs();
+  const auto ids = [base_arcs](PatchArena::Row r) {
+    return Row{base_arcs + r.begin, base_arcs + r.end};
+  };
+  std::size_t j = 0;  // into changed
+  for (std::size_t pg = 0; pg < snap.pages_.size(); ++pg) {
+    // Into the same pool, only the pages the batch names are written.
+    if (!new_pool) {
+      if (j == changed.size()) break;
+      pg = static_cast<std::size_t>(changed[j]) >> SnapshotCsr::kPageBits;
+    }
+    const SnapshotCsr::Page* old = snap.pages_[pg];
+    const auto first = static_cast<vid_t>(pg << SnapshotCsr::kPageBits);
+    const vid_t last = std::min(base.n(), first + SnapshotCsr::kPageSize);
+    const bool named = j < changed.size() && changed[j] < last;
+    if (!named && old == nullptr) continue;
+
+    SnapshotCsr::Page& page = pool.add();
+    if (old != nullptr) {
+      page = *old;
+    } else {
+      for (vid_t v = first; v < last; ++v) {
+        page[v - first] = Row{base.edge_begin(v), base.edge_end(v)};
+      }
+      // Past n on the last page: never read, but copied with the page.
+      for (vid_t v = last; v < first + SnapshotCsr::kPageSize; ++v) {
+        page[v - first] = Row{0, 0};
+      }
+    }
+    if (move_from != nullptr && old != nullptr) {
+      // Arena restart: carry every patched row the batch does not rewrite.
+      std::size_t k = j;
+      for (vid_t v = first; v < last; ++v) {
+        if (k < changed.size() && changed[k] == v) {
+          ++k;
+          continue;
+        }
+        Row& r = page[v - first];
+        if (r.begin < base_arcs) continue;  // reads the base
+        const Row src = r;
+        r = ids(arena.append([&](auto push) {
+          for (eid_t a = src.begin; a < src.end; ++a) {
+            push(move_from->edge_target(a), move_from->edge_weight(a));
+          }
+        }));
+      }
+    }
+    for (; j < changed.size() && changed[j] < last; ++j) {
+      const vid_t v = changed[j];
+      page[v - first] =
+          ovs[j] == nullptr ? Row{base.edge_begin(v), base.edge_end(v)}
+                            : ids(append_merged(arena, base, v, *ovs[j], e));
+    }
+    snap.pages_[pg] = &page;
+  }
+}
+
 std::shared_ptr<const SnapshotCsr> DeltaGraph::derive_side(
     Side& side, std::span<const vid_t> changed, epoch_t e) {
   const SnapshotCsr& prev = *side.published;
   const Csr& base = *side.base;
-  const bool weighted = base.has_weights();
-  PP_DCHECK(prev.touched_.empty() || prev.arena_ == side.arena);
+  const eid_t base_arcs = base.num_arcs();
+  PP_DCHECK(prev.arena_ == side.arena);
 
-  // Each changed vertex's overlay, or null when its row now equals the base,
-  // and the exact length of the rows to re-merge.
+  // Each changed vertex's overlay, or null when its row now equals the base;
+  // the arcs its re-merged row holds, and how far it moves the arc counts.
   std::vector<const VertexOverlay*> ovs(changed.size(), nullptr);
   std::size_t fresh = 0;
-  eid_t replaced = 0;  // prev's arcs in the rows being re-merged or dropped
+  eid_t replaced = 0;  // prev's patched arcs in the rows being rewritten
+  eid_t arcs = prev.arcs_;
   for (std::size_t j = 0; j < changed.size(); ++j) {
     const vid_t v = changed[j];
+    auto len = static_cast<eid_t>(base.degree(v));
     const auto it = side.delta.find(v);
     if (it != side.delta.end() && differs(it->second, e)) {
       ovs[j] = &it->second;
-      fresh += merged_degree(base, v, it->second, e);
+      len = static_cast<eid_t>(merged_degree(base, v, it->second, e));
+      fresh += static_cast<std::size_t>(len);
     }
-    const int s = prev.slot(v);
-    if (s >= 0) replaced += prev.rows_[s].end - prev.rows_[s].begin;
+    const eid_t begin = prev.edge_begin(v);
+    const eid_t old = prev.edge_end(v) - begin;
+    if (begin >= base_arcs) replaced += old;
+    arcs += len - old;
   }
   const auto carried = static_cast<std::size_t>(prev.patched_arcs_ - replaced);
 
@@ -328,72 +387,56 @@ std::shared_ptr<const SnapshotCsr> DeltaGraph::derive_side(
       side.arena == nullptr ||
       side.arena->size() + fresh > side.arena->capacity();
   if (restart) {
-    side.arena = std::make_shared<PatchArena>(2 * (carried + fresh), weighted);
+    side.arena = std::make_shared<PatchArena>(2 * (carried + fresh),
+                                              base.has_weights());
   }
-  PatchArena& arena = *side.arena;
-
-  std::vector<vid_t> touched;
-  std::vector<PatchArena::Row> rows;
-  touched.reserve(prev.touched_.size() + changed.size());
-  rows.reserve(prev.touched_.size() + changed.size());
-  std::size_t i = 0;  // into prev.touched_
-  std::size_t j = 0;  // into changed
-  while (i < prev.touched_.size() || j < changed.size()) {
-    if (j == changed.size() ||
-        (i < prev.touched_.size() && prev.touched_[i] < changed[j])) {
-      // A row the batch left alone: reference it, or copy it on restart.
-      const vid_t v = prev.touched_[i];
-      touched.push_back(v);
-      if (restart) {
-        const auto nb = prev.neighbors(v);
-        const auto wv =
-            weighted ? prev.weights(v) : std::span<const weight_t>{};
-        rows.push_back(arena.append([&](auto push) {
-          for (std::size_t k = 0; k < nb.size(); ++k) {
-            push(nb[k], weighted ? wv[k] : 1.0f);
-          }
-        }));
-      } else {
-        rows.push_back(prev.rows_[i]);
-      }
-      ++i;
-    } else {
-      const vid_t v = changed[j];
-      if (i < prev.touched_.size() && prev.touched_[i] == v) ++i;
-      if (ovs[j] != nullptr) {
-        touched.push_back(v);
-        rows.push_back(append_merged(arena, base, v, *ovs[j], e));
-      }
-      ++j;
-    }
+  // The page pool follows the same rule, counting pages: a commit writes at
+  // most one page per named row, and a restart rewrites every live page.
+  const bool new_pool =
+      restart || side.pool->size() + changed.size() > side.pool->capacity();
+  if (new_pool) {
+    const auto live = static_cast<std::size_t>(
+        std::count_if(prev.pages_.begin(), prev.pages_.end(),
+                      [](const SnapshotCsr::Page* p) { return p != nullptr; }));
+    side.pool = std::make_shared<PagePool>(2 * (live + changed.size()));
   }
-  return std::make_shared<const SnapshotCsr>(side.base, side.arena,
-                                             std::move(touched),
-                                             std::move(rows));
+  auto next = std::make_shared<SnapshotCsr>(prev);  // shares every page
+  next->set_storage(side.arena, side.pool);
+  next->arcs_ = arcs;
+  next->patched_arcs_ = static_cast<eid_t>(carried + fresh);
+  write_rows(*next, base, changed, ovs, *side.arena, *side.pool, new_pool, e,
+             restart ? &prev : nullptr);
+  return next;
 }
 
 std::shared_ptr<const SnapshotCsr> DeltaGraph::materialize_side(
     const Side& side, epoch_t e) const {
+  const Csr& base = *side.base;
   std::vector<vid_t> touched;
   touched.reserve(side.delta.size());
-  std::size_t arcs = 0;
   for (const auto& [v, ov] : side.delta) {
-    if (differs(ov, e)) {
-      touched.push_back(v);
-      arcs += merged_degree(*side.base, v, ov, e);
-    }
+    if (differs(ov, e)) touched.push_back(v);
   }
   std::sort(touched.begin(), touched.end());
-
-  auto arena = std::make_shared<PatchArena>(arcs, side.base->has_weights());
-  std::vector<PatchArena::Row> rows;
-  rows.reserve(touched.size());
+  std::vector<const VertexOverlay*> ovs;
+  ovs.reserve(touched.size());
+  std::size_t arcs = 0;
+  eid_t replaced = 0;
   for (const vid_t v : touched) {
-    rows.push_back(append_merged(*arena, *side.base, v, side.delta.at(v), e));
+    ovs.push_back(&side.delta.at(v));
+    arcs += merged_degree(base, v, *ovs.back(), e);
+    replaced += base.degree(v);
   }
-  return std::make_shared<const SnapshotCsr>(side.base, std::move(arena),
-                                             std::move(touched),
-                                             std::move(rows));
+
+  auto arena = std::make_shared<PatchArena>(arcs, base.has_weights());
+  auto pool = std::make_shared<PagePool>(touched.size());
+  auto snap = std::make_shared<SnapshotCsr>(side.base);
+  snap->set_storage(arena, pool);
+  snap->arcs_ = base.num_arcs() - replaced + static_cast<eid_t>(arcs);
+  snap->patched_arcs_ = static_cast<eid_t>(arcs);
+  write_rows(*snap, base, touched, ovs, *arena, *pool, /*new_pool=*/false, e,
+             nullptr);
+  return snap;
 }
 
 SnapshotView DeltaGraph::snapshot_locked(epoch_t e) const {
@@ -493,22 +536,27 @@ void DeltaGraph::compact() {
     in_.published = std::move(pub_in);
     overlay_entries_ = entries;
     oldest_epoch_ = at;
+    history_.clear();  // every batch is at or below the new floor
   }
-  out_.arena.reset();
-  in_.arena.reset();
+  for (Side* side : {&out_, &in_}) {
+    side->arena.reset();
+    side->pool.reset();
+  }
   span.arg("epoch", static_cast<double>(at));
   span.arg("overlay_entries_after", static_cast<double>(entries));
 }
 
 std::vector<UpdateBatch> DeltaGraph::batches_since(epoch_t since) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return {history_.begin() + std::clamp<epoch_t>(since, 0, epoch_),
+  PP_CHECK(since >= oldest_epoch_ &&
+           "batches_since predates the compaction floor");
+  return {history_.begin() + (std::min(since, epoch_) - oldest_epoch_),
           history_.end()};
 }
 
 std::size_t DeltaGraph::num_batches_since(epoch_t since) const {
-  // history_ holds exactly one batch per epoch in (0, epoch_], so the count
-  // is epoch arithmetic.
+  // One commit per epoch, so the count is epoch arithmetic; it holds below
+  // the compaction floor too, where the batches themselves are gone.
   std::lock_guard<std::mutex> lk(mu_);
   return static_cast<std::size_t>(epoch_ -
                                   std::clamp<epoch_t>(since, 0, epoch_));

@@ -24,9 +24,12 @@
 // from epoch E's, re-merging only the rows of the vertices its batch names
 // and appending them to an append-only PatchArena shared by every snapshot
 // derived since the arena was started (SumInc's IncFragmentBuilder builds
-// the next fragment from the deltas the same way). snapshot() and
-// snapshot(epoch()) are pointer copies of that published view; an older
-// epoch is materialized from the overlay on demand (the historic path).
+// the next fragment from the deltas the same way). A per-vertex row table
+// in copy-on-write pages finds each row in two loads; the new epoch copies
+// the page directory and only the pages its batch names, so a commit costs
+// O(batch) rows and pages, not O(touched). snapshot() and snapshot(epoch())
+// are pointer copies of that published view; an older epoch is materialized
+// from the overlay on demand (the historic path).
 //
 // SnapshotCsr is a point-in-time view of one direction: vertices untouched
 // by the overlay read straight from the sealed base (same spans, same edge
@@ -48,6 +51,7 @@
 // never observe writer progress.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -94,10 +98,11 @@ struct UpdateBatch {
 // resident memory.
 class PatchArena {
  public:
-  // One row's arc range [begin, end) in the arena.
+  // One row's arc range [begin, end) in the arena. Trivial, so a PagePool's
+  // unwritten capacity is left uninitialized too.
   struct Row {
-    eid_t begin = 0;
-    eid_t end = 0;
+    eid_t begin;
+    eid_t end;
   };
 
   PatchArena(std::size_t capacity, bool weighted)
@@ -133,6 +138,41 @@ class PatchArena {
   std::size_t size_ = 0;
 };
 
+// --- PagePool ----------------------------------------------------------------
+
+// Append-only storage for the row pages of snapshots, PatchArena's
+// counterpart for the page table: a page is written once, before the first
+// snapshot that references it is published, and never rewritten, so one
+// pool is shared by every SnapshotCsr derived since it was started. A page
+// holds kPageSize consecutive vertices' edge-id ranges.
+class PagePool {
+ public:
+  // Vertices per page, picked by measurement (DESIGN.md §5).
+  static constexpr int kPageBits = 6;
+  static constexpr vid_t kPageSize = vid_t{1} << kPageBits;
+  using Page = std::array<PatchArena::Row, kPageSize>;
+
+  explicit PagePool(std::size_t capacity)
+      : pages_(new Page[capacity]), capacity_(capacity) {}
+
+  PagePool(const PagePool&) = delete;
+  PagePool& operator=(const PagePool&) = delete;
+
+  std::size_t size() const noexcept { return size_; }
+  std::size_t capacity() const noexcept { return capacity_; }
+
+  // The next unwritten page.
+  Page& add() {
+    PP_CHECK(size_ < capacity_ && "page pool overflow");
+    return pages_[size_++];
+  }
+
+ private:
+  std::unique_ptr<Page[]> pages_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;
+};
+
 // --- SnapshotCsr -------------------------------------------------------------
 
 // One direction of a point-in-time snapshot: a sealed base CSR plus, for
@@ -142,52 +182,62 @@ class PatchArena {
 // arena, one contiguous range per row. Adjacency lists stay sorted
 // ascending, so has_edge keeps its O(log d̂) bound and kernels that exploit
 // sorted neighbors (triangle counting) work unchanged.
+//
+// Rows are found through a page table: a directory of kPageSize-vertex
+// pages, each page holding every one of its vertices' edge-id range. A null
+// page reads the whole page from the base, so a lookup is two loads (the
+// page pointer, then the row). Pages live in a PagePool and are shared
+// between epochs: a commit copies the directory and only the pages its
+// batch names.
 class SnapshotCsr {
  public:
+  // A vertex's arcs as an edge-id range [begin, end).
   using Row = PatchArena::Row;
+  using Page = PagePool::Page;
+  static constexpr int kPageBits = PagePool::kPageBits;
+  static constexpr vid_t kPageSize = PagePool::kPageSize;
 
   // The unpatched view of `base`.
-  explicit SnapshotCsr(std::shared_ptr<const Csr> base)
-      : SnapshotCsr(std::move(base), nullptr, {}, {}) {}
-
-  // Assembled by DeltaGraph; `touched` sorted ascending, rows[i] is the range
-  // of touched[i]'s adjacency in `arena` (null only when nothing is touched).
-  SnapshotCsr(std::shared_ptr<const Csr> base,
-              std::shared_ptr<const PatchArena> arena,
-              std::vector<vid_t> touched, std::vector<Row> rows);
+  explicit SnapshotCsr(std::shared_ptr<const Csr> base);
 
   vid_t n() const noexcept { return base_->n(); }
   eid_t num_arcs() const noexcept { return arcs_; }
   eid_t m_undirected() const noexcept { return arcs_ / 2; }
 
   vid_t degree(vid_t v) const noexcept {
-    const int s = slot(v);
-    return s < 0 ? base_->degree(v) : static_cast<vid_t>(row_len(s));
+    const Row* r = row(v);
+    return r == nullptr ? base_->degree(v) : static_cast<vid_t>(r->end - r->begin);
   }
 
   std::span<const vid_t> neighbors(vid_t v) const noexcept {
-    const int s = slot(v);
-    if (s < 0) return base_->neighbors(v);
-    return {adj_ + rows_[s].begin, row_len(s)};
+    const Row* r = row(v);
+    if (r == nullptr) return base_->neighbors(v);
+    const vid_t* adj = r->begin < base_arcs_
+                           ? base_->adj().data() + r->begin
+                           : adj_ + (r->begin - base_arcs_);
+    return {adj, static_cast<std::size_t>(r->end - r->begin)};
   }
 
   bool has_weights() const noexcept { return base_->has_weights(); }
 
   std::span<const weight_t> weights(vid_t v) const noexcept {
     PP_DCHECK(has_weights());
-    const int s = slot(v);
-    if (s < 0) return base_->weights(v);
-    return {w_ + rows_[s].begin, row_len(s)};
+    const Row* r = row(v);
+    if (r == nullptr) return base_->weights(v);
+    const weight_t* w = r->begin < base_arcs_
+                            ? base_->weight_array().data() + r->begin
+                            : w_ + (r->begin - base_arcs_);
+    return {w, static_cast<std::size_t>(r->end - r->begin)};
   }
 
   eid_t edge_begin(vid_t v) const noexcept {
-    const int s = slot(v);
-    return s < 0 ? base_->edge_begin(v) : base_arcs_ + rows_[s].begin;
+    const Row* r = row(v);
+    return r == nullptr ? base_->edge_begin(v) : r->begin;
   }
 
   eid_t edge_end(vid_t v) const noexcept {
-    const int s = slot(v);
-    return s < 0 ? base_->edge_end(v) : base_arcs_ + rows_[s].end;
+    const Row* r = row(v);
+    return r == nullptr ? base_->edge_end(v) : r->end;
   }
 
   vid_t edge_target(eid_t e) const noexcept {
@@ -209,36 +259,24 @@ class SnapshotCsr {
     return n() == 0 ? 0.0 : static_cast<double>(arcs_) / n();
   }
 
-  // Vertices whose adjacency differs from the sealed base (sorted).
-  std::span<const vid_t> touched() const noexcept { return touched_; }
-  const Csr& base() const noexcept { return *base_; }
-  // The arena holding the touched rows (null when nothing is touched).
+  // The arena holding the patched rows (null when nothing is patched).
   const PatchArena* arena() const noexcept { return arena_.get(); }
 
   // Expands the patched view into a standalone CSR (compaction, checkpoints).
   Csr materialize() const;
 
  private:
-  friend class DeltaGraph;  // derives the next epoch's rows from these
+  friend class DeltaGraph;  // derives the next epoch's pages from these
 
-  // Index into touched_/rows_, or -1 when v reads from the base.
-  int slot(vid_t v) const noexcept {
-    // Binary search over the sorted touched list.
-    std::size_t lo = 0, hi = touched_.size();
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (touched_[mid] < v) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo < touched_.size() && touched_[lo] == v ? static_cast<int>(lo) : -1;
+  // v's row, or null when v's page reads from the base.
+  const Row* row(vid_t v) const noexcept {
+    const auto i = static_cast<std::size_t>(v);
+    const Page* page = pages_[i >> kPageBits];
+    return page == nullptr ? nullptr : &(*page)[i & (kPageSize - 1)];
   }
 
-  std::size_t row_len(int s) const noexcept {
-    return static_cast<std::size_t>(rows_[s].end - rows_[s].begin);
-  }
+  void set_storage(std::shared_ptr<const PatchArena> arena,
+                   std::shared_ptr<const PagePool> pool);
 
   std::shared_ptr<const Csr> base_;
   std::shared_ptr<const PatchArena> arena_;
@@ -246,9 +284,9 @@ class SnapshotCsr {
   const weight_t* w_ = nullptr;    // arena_->weights(); null when unweighted
   eid_t base_arcs_ = 0;
   eid_t arcs_ = 0;
-  eid_t patched_arcs_ = 0;  // arcs held in rows_
-  std::vector<vid_t> touched_;
-  std::vector<Row> rows_;
+  eid_t patched_arcs_ = 0;  // arcs held in the arena rows
+  std::shared_ptr<const PagePool> pool_;  // holds every non-null page
+  std::vector<const Page*> pages_;        // ceil(n / kPageSize)
 };
 
 static_assert(CsrLike<SnapshotCsr>);
@@ -258,8 +296,8 @@ static_assert(CsrLike<SnapshotCsr>);
 // A point-in-time GraphView over a DeltaGraph: push walks out(), pull walks
 // in(); for a symmetric graph both alias one SnapshotCsr. Immutable after
 // construction and safe to share across threads; holds shared ownership of
-// its base CSR(s) and patch arena(s), so later commits, arena restarts and
-// compactions never invalidate it.
+// its base CSR(s), patch arena(s) and page pool(s), so later commits, arena
+// restarts and compactions never invalidate it.
 class SnapshotView {
  public:
   SnapshotView(std::shared_ptr<const SnapshotCsr> out,
@@ -330,8 +368,8 @@ class DeltaGraph {
   // Publish the staged updates as one batch, returning the new epoch. A
   // commit with nothing staged is a no-op returning the current epoch.
   // Derives the new epoch's snapshot from the previous one outside the lock
-  // (O(touched) row references plus the batch's re-merged rows); the lock
-  // covers only the publish.
+  // (a copy of the page directory, plus the pages and re-merged rows of the
+  // vertices the batch names); the lock covers only the publish.
   epoch_t commit();
 
   // Point-in-time view at the latest committed epoch / at `e`. The latest
@@ -354,12 +392,15 @@ class DeltaGraph {
   void compact();
 
   // Committed batches with epoch > `since`, oldest first. `since` at or
-  // beyond epoch() yields an empty vector.
+  // beyond epoch() yields an empty vector. compact() releases the batches at
+  // or below the new floor, so, like snapshot(e), this aborts when `since`
+  // predates oldest_epoch().
   std::vector<UpdateBatch> batches_since(epoch_t since) const;
 
   // How many commits landed after `since` — the serving layer's staleness
   // gauge: a query pinned to epoch e reports num_batches_since(e) as how far
-  // behind the live graph its answer is. O(1).
+  // behind the live graph its answer is. O(1), and valid below the
+  // compaction floor.
   std::size_t num_batches_since(epoch_t since) const;
 
   // Visible arc count at the latest committed epoch (symmetric graphs count
@@ -405,9 +446,10 @@ class DeltaGraph {
     std::unordered_map<vid_t, VertexOverlay> delta;
     // The latest committed epoch's view of this side (swapped under the lock).
     std::shared_ptr<const SnapshotCsr> published;
-    // Where commit() appends re-merged rows; writer-owned. Null until the
-    // first commit after construction or compaction.
+    // Where commit() appends re-merged rows and their pages; writer-owned.
+    // Null until the first commit after construction or compaction.
     std::shared_ptr<PatchArena> arena;
+    std::shared_ptr<PagePool> pool;
   };
 
   // Is arc (u, v) of `side` visible at epoch e? (lock held)
@@ -427,11 +469,24 @@ class DeltaGraph {
                                        vid_t v, const VertexOverlay& ov,
                                        epoch_t e);
 
-  // Derive one side's view at epoch e from its published view at e − 1,
-  // re-merging the rows of `changed` (sorted, unique) and referencing every
-  // other touched row where it already lies. When the re-merged rows do not
-  // fit the arena, a new one of twice the live patched arcs is started and
-  // the live rows are copied into it. (writer thread; no lock needed)
+  // Writes the rows of `changed` (sorted, unique) into `snap`'s page table:
+  // a null ovs[j] puts changed[j] back on its base row, otherwise its merged
+  // row at epoch e is appended to `arena`. Each page written is a fresh copy
+  // in `pool`; the others stay shared. When `pool` is new, every non-null
+  // page is copied into it, and with `move_from` (an arena restart) every
+  // other patched row is copied from that view into `arena` as well.
+  static void write_rows(SnapshotCsr& snap, const Csr& base,
+                         std::span<const vid_t> changed,
+                         std::span<const VertexOverlay* const> ovs,
+                         PatchArena& arena, PagePool& pool, bool new_pool,
+                         epoch_t e, const SnapshotCsr* move_from);
+
+  // Derive one side's view at epoch e from its published view at e − 1:
+  // copy its page directory, then re-merge the rows of `changed` (sorted,
+  // unique) into copies of the pages they sit in. When the re-merged rows do
+  // not fit the arena, a new one of twice the live patched arcs is started
+  // and the live rows are copied into it; the page pool restarts the same
+  // way, at twice the live pages. (writer thread; no lock needed)
   std::shared_ptr<const SnapshotCsr> derive_side(Side& side,
                                                  std::span<const vid_t> changed,
                                                  epoch_t e);
@@ -457,7 +512,9 @@ class DeltaGraph {
   Side in_;  // symmetric: in_ aliases out_'s base and published view, and
              // in_.delta stays empty
   std::vector<EdgeUpdate> pending_;
-  std::vector<UpdateBatch> history_;  // history_[i] is epoch i + 1's batch
+  // history_[i] is epoch oldest_epoch_ + i + 1's batch; compact() drops the
+  // batches at or below the new floor.
+  std::vector<UpdateBatch> history_;
   std::size_t overlay_entries_ = 0;   // inserts + removals on both sides
 };
 

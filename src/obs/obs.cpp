@@ -1,7 +1,7 @@
-// Out-of-line obs layer: the Chrome trace_event exporter and the metrics
-// registry. Nothing here is on a hot path — recording is fully inline in the
-// headers; this file only runs when a trace is serialized or a metric is
-// first looked up.
+// Out-of-line obs layer: the Chrome trace_event exporter and the histogram's
+// percentile readout. Nothing here is on a hot path — recording is fully
+// inline in the headers; this file only runs when a trace is serialized or a
+// histogram is read.
 #include <algorithm>
 #include <cinttypes>
 #include <cmath>
@@ -155,35 +155,6 @@ void Histogram::reset() noexcept {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
-}
-
-// --- MetricsRegistry ---------------------------------------------------------
-
-Counter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
-void MetricsRegistry::reset_all() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, h] : histograms_) h->reset();
 }
 
 }  // namespace pushpull::obs

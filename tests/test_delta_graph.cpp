@@ -1,10 +1,11 @@
 // DeltaGraph: the versioned mutable store behind SnapshotView. Covers the
 // writer API edge cases (duplicates, absent deletes, self-loops), epoch
-// history, snapshot equivalence against statically built CSRs across the
-// zoos, the published (derived-at-commit) path under long churn with arena
-// restarts and compactions, kernel bit-identity on SnapshotView vs the
-// static views, compaction under live snapshots, and a concurrent
-// writer/reader pass that the TSan CI job runs.
+// history and its compaction floor, snapshot equivalence against statically
+// built CSRs across the zoos, the published (derived-at-commit) path under
+// long churn with arena restarts and compactions, the page table's sharing
+// and edge cases, kernel bit-identity on SnapshotView vs the static views,
+// compaction under live snapshots, and a concurrent writer/reader pass that
+// the TSan CI job runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,6 +113,37 @@ TEST(DeltaGraph, EpochHistoryAndBatchesSince) {
   EXPECT_TRUE(dg.snapshot(e1).out().has_edge(0, 3));
   EXPECT_TRUE(dg.snapshot(e1).out().has_edge(0, 1));
   EXPECT_FALSE(dg.snapshot(e2).out().has_edge(0, 1));
+}
+
+// compact() releases the batches at or below its floor: batches_since
+// serves exactly the later ones and aborts below the floor, while the counts
+// stay epoch arithmetic.
+TEST(DeltaGraph, CompactionReleasesHistoryBelowTheFloor) {
+  DeltaGraph dg(small_base());
+  dg.add_edge(0, 2);
+  dg.commit();
+  dg.add_edge(0, 3);
+  dg.commit();
+  dg.compact();
+  const epoch_t floor = dg.oldest_epoch();
+  EXPECT_EQ(floor, dg.epoch());
+  EXPECT_TRUE(dg.batches_since(floor).empty());
+
+  dg.add_edge(0, 4);
+  const epoch_t e3 = dg.commit();
+  dg.remove_edge(0, 2);
+  dg.add_edge(2, 4);
+  const epoch_t e4 = dg.commit();
+  const auto batches = dg.batches_since(floor);
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(batches[0].epoch, e3);
+  ASSERT_EQ(batches[0].updates.size(), 1u);
+  EXPECT_EQ(batches[0].updates[0].v, 4);
+  EXPECT_EQ(batches[1].epoch, e4);
+  EXPECT_EQ(batches[1].updates.size(), 2u);
+  EXPECT_EQ(dg.batches_since(e3).size(), 1u);
+  EXPECT_EQ(dg.num_batches_since(floor - 1), 3u);
+  EXPECT_DEATH(dg.batches_since(floor - 1), "compaction floor");
 }
 
 TEST(DeltaGraph, CompactKeepsLiveSnapshotsValid) {
@@ -414,6 +446,149 @@ TEST(DeltaGraph, PublishedSnapshotsTrackLongChurnDigraph) {
   DeltaGraph dg(build_digraph(out.n(), std::move(edges), /*keep_weights=*/true));
   ASSERT_FALSE(dg.is_symmetric());
   long_churn(dg, std::move(model), /*weighted=*/true, 22, it->name);
+}
+
+// --- The page table ------------------------------------------------------------
+
+// A weighted symmetric base of `n` vertices and about 4n random edges.
+Csr paged_base(vid_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  EdgeList edges;
+  for (vid_t i = 0; i < 4 * n; ++i) {
+    edges.push_back(Edge{static_cast<vid_t>(rng() % n),
+                         static_cast<vid_t>(rng() % n),
+                         static_cast<weight_t>(1 + rng() % 9)});
+  }
+  BuildOptions opts;
+  opts.keep_weights = true;
+  return build_csr(n, std::move(edges), opts);
+}
+
+ArcModel arcs_of(const Csr& g) {
+  ArcModel model;
+  for (vid_t v = 0; v < g.n(); ++v) {
+    const auto nb = g.neighbors(v);
+    const auto w = g.weights(v);
+    for (std::size_t k = 0; k < nb.size(); ++k) model[{v, nb[k]}] = w[k];
+  }
+  return model;
+}
+
+// Stages the symmetric insertion of {u, t} for the first t >= v it can take,
+// on both the store and the model, and returns t.
+vid_t insert_from(DeltaGraph& dg, ArcModel& model, vid_t u, vid_t v,
+                  weight_t w) {
+  for (vid_t t = v; t < dg.n(); ++t) {
+    if (model.contains({u, t})) continue;
+    EXPECT_TRUE(dg.add_edge(u, t, w));
+    model[{u, t}] = w;
+    model[{t, u}] = w;
+    return t;
+  }
+  ADD_FAILURE() << "vertex " << u << " has no free neighbor from " << v;
+  return u;
+}
+
+// Pages are shared between epochs and never written in place: a view held
+// across a commit that rewrites another vertex of its page, and across an
+// arena restart, still reads its own epoch row for row.
+TEST(DeltaGraphPages, HeldViewSurvivesSamePageRewriteAndArenaRestart) {
+  constexpr vid_t kPage = SnapshotCsr::kPageSize;
+  const vid_t n = 3 * kPage;
+  const Csr base = paged_base(n, 41);
+  ArcModel model = arcs_of(base);
+  DeltaGraph dg{Csr(base)};
+
+  insert_from(dg, model, 1, 2 * kPage, 2.5f);
+  dg.commit();
+  const SnapshotView held = dg.snapshot();
+  const Csr held_csr = static_rebuild(n, model, /*weighted=*/true);
+
+  // Vertex 2 shares vertex 1's page.
+  insert_from(dg, model, 2, 2 * kPage, 3.5f);
+  dg.commit();
+  expect_same_csr(held.out(), held_csr, "held view after a same-page commit");
+  expect_same_csr(dg.snapshot().out(), static_rebuild(n, model, true),
+                  "latest after a same-page commit");
+
+  std::mt19937_64 rng(43);
+  const PatchArena* arena = dg.snapshot().out().arena();
+  for (int c = 0; dg.snapshot().out().arena() == arena; ++c) {
+    ASSERT_LT(c, 1000) << "the arena never restarted";
+    for (int i = 0; i < 4; ++i) {
+      insert_from(dg, model, static_cast<vid_t>(rng() % n),
+                  static_cast<vid_t>(rng() % n), 1.0f);
+    }
+    dg.commit();
+  }
+  expect_same_csr(held.out(), held_csr, "held view after an arena restart");
+  expect_same_csr(dg.snapshot().out(), static_rebuild(n, model, true),
+                  "latest after an arena restart");
+}
+
+// The last page is partial: commits that touch vertex 0 and vertex n − 1
+// read back exactly, on the published path and on the historic one.
+TEST(DeltaGraphPages, PartialLastPageAndEndVertices) {
+  constexpr vid_t kPage = SnapshotCsr::kPageSize;
+  const vid_t n = 2 * kPage + kPage / 2 + 1;
+  ASSERT_NE(n % kPage, 0);
+  const Csr base = paged_base(n, 47);
+  ArcModel model = arcs_of(base);
+  DeltaGraph dg{Csr(base)};
+  const vid_t last = n - 1;
+  std::vector<Csr> at_epoch;
+  at_epoch.push_back(static_rebuild(n, model, true));
+
+  const auto remove = [&](vid_t u, vid_t v) {
+    ASSERT_TRUE(dg.remove_edge(u, v));
+    model.erase({u, v});
+    model.erase({v, u});
+  };
+  for (int c = 0; c < 5; ++c) {
+    switch (c) {
+      case 0: insert_from(dg, model, 0, last, 4.0f); break;
+      case 1: insert_from(dg, model, last, last, 5.0f); break;  // self-loop
+      case 2: remove(0, last); break;
+      case 3:  // empty vertex 0's row
+        while (!model.empty() && model.begin()->first.first == 0) {
+          remove(0, model.begin()->first.second);
+        }
+        break;
+      case 4: insert_from(dg, model, 0, 0, 6.0f); break;
+    }
+    const epoch_t e = dg.commit();
+    ASSERT_EQ(e, static_cast<epoch_t>(at_epoch.size()));
+    at_epoch.push_back(static_rebuild(n, model, true));
+    for (epoch_t h = 0; h <= e; ++h) {
+      const std::string where =
+          "commit " + std::to_string(c) + " epoch " + std::to_string(h);
+      expect_same_csr(dg.snapshot(h).out(), at_epoch[h], where);
+    }
+  }
+}
+
+// A row whose overlay no longer changes it reads the base again, with the
+// base's edge ids.
+TEST(DeltaGraphPages, RowReturnsToTheBase) {
+  constexpr vid_t kPage = SnapshotCsr::kPageSize;
+  const vid_t n = 2 * kPage;
+  const Csr base = paged_base(n, 53);
+  ArcModel model = arcs_of(base);
+  DeltaGraph dg{Csr(base)};
+  const vid_t u = 5;
+  const vid_t v = insert_from(dg, model, u, kPage, 2.0f);
+  dg.commit();
+  EXPECT_GE(dg.snapshot().out().edge_begin(u), base.num_arcs());
+
+  ASSERT_TRUE(dg.remove_edge(u, v));
+  const epoch_t e = dg.commit();
+  for (const SnapshotView& back : {dg.snapshot(), dg.snapshot(e)}) {
+    expect_same_csr(back.out(), base, "after the row returned");
+    for (vid_t w = 0; w < n; ++w) {
+      ASSERT_EQ(back.out().edge_begin(w), base.edge_begin(w)) << w;
+      ASSERT_EQ(back.out().edge_end(w), base.edge_end(w)) << w;
+    }
+  }
 }
 
 // Kernels must not be able to tell a SnapshotView from a statically built

@@ -5,18 +5,26 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
+
 #include "core/bc.hpp"
 #include "core/bfs.hpp"
 #include "core/coloring.hpp"
 #include "core/connected_components.hpp"
+#include "core/directed.hpp"
 #include "core/kcore.hpp"
 #include "core/mst_boruvka.hpp"
 #include "core/pagerank.hpp"
 #include "core/sssp_delta.hpp"
 #include "engine/edge_map.hpp"
 #include "core/triangle_count.hpp"
+#include "graph/builder.hpp"
 #include "graph/partition_aware.hpp"
 #include "graph_zoo.hpp"
+#include "obs/trace.hpp"
 #include "perf/instr.hpp"
 
 namespace pushpull {
@@ -285,6 +293,127 @@ TEST_F(InstrFixture, EngineClientsInheritAttribution) {
   kcore_decomposition(g_, CountingInstr(pc));
   EXPECT_GT(pc.total().atomics, 0u);
   EXPECT_EQ(pc.total().locks, 0u);
+}
+
+// The per-round ledgers a traced run recorded: their sum over every round,
+// and the Greedy-Switch tail's own delta and frontier.
+struct RoundLedger {
+  CounterBlock all;
+  CounterBlock tail;
+  int tails = 0;
+  std::uint64_t tail_frontier = 0;
+};
+
+RoundLedger round_ledger(const obs::Tracer& t) {
+  RoundLedger l;
+  for (const auto& [tid, ev] : t.sorted_events()) {
+    if (std::string(ev.cat) != "round") continue;
+    const bool tail =
+        ev.mode != nullptr && std::string(ev.mode) == "sequential-tail";
+    CounterBlock c;
+    for (int i = 0; i < ev.n_args; ++i) {
+      const std::string key = ev.args[i].key;
+      const auto v = static_cast<std::uint64_t>(ev.args[i].value);
+      if (key == "reads") c.reads = v;
+      if (key == "writes") c.writes = v;
+      if (key == "atomics") c.atomics = v;
+      if (key == "locks") c.locks = v;
+      if (key == "frontier" && tail) l.tail_frontier = v;
+    }
+    l.all.reads += c.reads;
+    l.all.writes += c.writes;
+    l.all.atomics += c.atomics;
+    l.all.locks += c.locks;
+    if (tail) {
+      l.tail = c;
+      ++l.tails;
+    }
+  }
+  return l;
+}
+
+void expect_rounds_cover(const RoundLedger& l, const CounterBlock& total) {
+  EXPECT_EQ(l.all.reads, total.reads);
+  EXPECT_EQ(l.all.writes, total.writes);
+  EXPECT_EQ(l.all.atomics, total.atomics);
+  EXPECT_EQ(l.all.locks, total.locks);
+}
+
+// Greedy-Switch's sequential tails count through the same PlainCtx as the
+// engine rounds. CC's worklist reads the popped label once and each scanned
+// neighbor's label once, and writes each lowered label, so on a 2-regular
+// graph its reads are exactly 3 per pop, and pops = initial work + writes.
+TEST_F(InstrFixture, CcGreedySwitchTailIsCountedExactly) {
+  omp_set_num_threads(1);
+  // One cycle through the vertices in a shuffled order: label 0 needs many
+  // hops, so the tail (engaged right after round 1) lowers labels.
+  constexpr vid_t n = 256;
+  std::vector<vid_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(3));
+  EdgeList edges;
+  for (vid_t i = 0; i < n; ++i) {
+    edges.push_back(Edge{order[i], order[(i + 1) % n], 1.0f});
+  }
+  const Csr cycle = make_undirected(n, std::move(edges));
+  for (vid_t v = 0; v < n; ++v) ASSERT_EQ(cycle.degree(v), 2);
+
+  PerfCounters pc(omp_get_max_threads());
+  obs::Tracer t;
+  CcOptions opt;
+  opt.strategy = engine::StrategyKind::GreedySwitch;
+  opt.grs_threshold = 1.0;
+  const CcResult r = connected_components(cycle, opt, CountingInstr(pc), &t);
+  ASSERT_EQ(r.sequential_tail_rounds, 1);
+  EXPECT_EQ(r.comp, std::vector<vid_t>(n, 0));
+
+  const RoundLedger l = round_ledger(t);
+  ASSERT_EQ(l.tails, 1);
+  EXPECT_GT(l.tail.writes, 0u);
+  EXPECT_EQ(l.tail.reads, (l.tail_frontier + l.tail.writes) * 3);
+  EXPECT_EQ(l.tail.atomics, 0u);
+  EXPECT_EQ(l.tail.locks, 0u);
+  expect_rounds_cover(l, pc.total());
+  omp_set_num_threads(4);
+}
+
+// Directed BFS's FIFO tail pops every vertex from the tail's first level L
+// on, reading its level once and each out-neighbor's level once, and writes
+// each vertex it discovers: all of it follows from the final distances.
+TEST_F(InstrFixture, DigraphBfsGreedySwitchTailIsCountedExactly) {
+  omp_set_num_threads(1);
+  const Digraph g = build_digraph(256, rmat_edges(8, 8, 17));
+  const engine::DigraphView view(g);
+  PerfCounters pc(omp_get_max_threads());
+  obs::Tracer t;
+  DigraphBfsOptions opt;
+  opt.strategy = engine::StrategyKind::GreedySwitch;
+  opt.grs_threshold = 1.0;
+  const DigraphBfsResult r =
+      bfs_digraph_strategy(view, 0, opt, CountingInstr(pc), &t);
+  ASSERT_EQ(r.sequential_tail_levels, 1);
+
+  const vid_t first = r.levels - 1;  // engine levels before the tail
+  std::uint64_t pops = 0, arcs = 0, found = 0, at_first = 0;
+  for (vid_t v = 0; v < g.out.n(); ++v) {
+    const vid_t d = r.dist[static_cast<std::size_t>(v)];
+    if (d < first) continue;
+    ++pops;
+    arcs += static_cast<std::uint64_t>(g.out.degree(v));
+    if (d > first) ++found;
+    if (d == first) ++at_first;
+  }
+  ASSERT_GT(found, 0u);
+
+  const RoundLedger l = round_ledger(t);
+  ASSERT_EQ(l.tails, 1);
+  EXPECT_EQ(l.tail_frontier, at_first);
+  EXPECT_EQ(l.tail.reads, pops + arcs);
+  EXPECT_EQ(l.tail.writes, found);
+  EXPECT_EQ(l.tail.atomics, 0u);
+  EXPECT_EQ(l.tail.locks, 0u);
+  expect_rounds_cover(l, pc.total());
+  omp_set_num_threads(4);
 }
 
 TEST_F(InstrFixture, CacheSimPullMissesMoreThanPushForPr) {

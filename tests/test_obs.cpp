@@ -1,7 +1,7 @@
 // Observability layer tests (DESIGN.md §6): tracer ring semantics, the
 // Chrome exporter's golden invariants, tracer-on/off differential runs on the
-// zoo, the multi-writer record path (exercised under TSan in CI), the metrics
-// registry, and the JsonWriter escaping fix.
+// zoo, the multi-writer record path (exercised under TSan in CI), the latency
+// histogram, and the JsonWriter escaping fix.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -369,19 +369,7 @@ TEST(TracerDifferential, IncrementalRepairSpansTagFellBack) {
   EXPECT_TRUE(saw_repair);
 }
 
-// --- metrics registry --------------------------------------------------------
-
-TEST(Metrics, CounterGaugeBasics) {
-  obs::Counter c;
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42);
-  c.reset();
-  EXPECT_EQ(c.value(), 0);
-  obs::Gauge g;
-  g.set(2.5);
-  EXPECT_EQ(g.value(), 2.5);
-}
+// --- latency histogram ------------------------------------------------------
 
 TEST(Metrics, HistogramPercentilesLandInBucket) {
   obs::Histogram h;
@@ -407,34 +395,6 @@ TEST(Metrics, HistogramEdgeBuckets) {
   EXPECT_EQ(h.percentile(50.0), 0u);  // bucket 0 holds only zero
   h.record(~std::uint64_t{0});        // top bucket must not overflow
   EXPECT_GT(h.percentile(99.0), std::uint64_t{1} << 62);
-}
-
-TEST(Metrics, RegistryStableRefsAndSerialization) {
-  obs::MetricsRegistry reg;
-  obs::Counter& c = reg.counter("queries");
-  obs::Counter& c2 = reg.counter("queries");
-  EXPECT_EQ(&c, &c2);  // same name, same instrument
-  c.inc(3);
-  reg.gauge("load").set(0.75);
-  reg.histogram("latency").record(1000);
-
-  bench::JsonWriter w;
-  reg.write_to(w);
-  const std::string path = ::testing::TempDir() + "/metrics_dump.json";
-  w.write(path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content(1 << 12, '\0');
-  content.resize(std::fread(content.data(), 1, content.size(), f));
-  std::fclose(f);
-  check_json_well_formed(content);
-  EXPECT_NE(content.find("\"metrics.queries\": 3"), std::string::npos);
-  EXPECT_NE(content.find("\"metrics.latency.count\": 1"), std::string::npos);
-  EXPECT_NE(content.find("\"metrics.latency.p50_ns\""), std::string::npos);
-
-  reg.reset_all();
-  EXPECT_EQ(c.value(), 0);                       // reference still valid
-  EXPECT_EQ(reg.gauge("load").value(), 0.75);    // gauges keep their value
 }
 
 // --- JsonWriter escaping (the add_string fix) --------------------------------

@@ -177,8 +177,8 @@ TEST(DeltaGraphServe, NumBatchesSinceCountsCommits) {
   EXPECT_EQ(dg.num_batches_since(dg.epoch()), 0u);
   EXPECT_EQ(dg.num_batches_since(e0 + 1), 2u);
 
-  // Compaction folds the overlay, not the history: counts are unchanged and
-  // keep following commits.
+  // Compaction releases the batches at or below its floor, but the counts
+  // are epoch arithmetic: unchanged, and they keep following commits.
   dg.compact();
   EXPECT_EQ(dg.oldest_epoch(), dg.epoch());
   EXPECT_EQ(dg.num_batches_since(e0), 3u);
@@ -188,7 +188,7 @@ TEST(DeltaGraphServe, NumBatchesSinceCountsCommits) {
   EXPECT_EQ(dg.num_batches_since(e0), 4u);
   EXPECT_EQ(dg.num_batches_since(dg.oldest_epoch()), 1u);
   EXPECT_EQ(dg.num_batches_since(dg.epoch() + 5), 0u);
-  EXPECT_EQ(dg.batches_since(e0 + 1).size(), 3u);
+  EXPECT_EQ(dg.batches_since(dg.oldest_epoch()).size(), 1u);
 }
 
 // --- Service: snapshot pinning under a concurrent writer ---------------------
