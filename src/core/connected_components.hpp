@@ -21,6 +21,7 @@
 
 #include <vector>
 
+#include "core/round_trace.hpp"
 #include "engine/context.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/policy.hpp"
@@ -77,7 +78,6 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
 
   engine::VertexSet changed = engine::VertexSet::all(n);
   while (!changed.empty()) {
-    const bool trace = obs::tracing(tracer);
     const double active_work = changed.out_degree_sum(g);
     const double active_count = static_cast<double>(changed.size());
 
@@ -86,8 +86,7 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
         r.rounds > 0) {
       // Counted like an engine round: one read of the popped label, one per
       // scanned arc, one write per lowered label.
-      const std::uint64_t t0 = trace ? obs::now_ns() : 0;
-      const CounterBlock c0 = trace ? obs::instr_snapshot(instr) : CounterBlock{};
+      detail::RoundTrace round(tracer, instr);
       engine::PlainCtx<Instr> ctx(instr);
       vid_t* comp = r.comp.data();
       std::vector<vid_t> work(changed.ids().begin(), changed.ids().end());
@@ -104,22 +103,9 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
       }
       r.sequential_tail_rounds = 1;
       ++r.rounds;
-      if (trace) {
-        obs::RoundEvent ev;
-        ev.kernel = "cc";
-        ev.mode = "sequential-tail";
-        ev.round = r.rounds;
-        ev.frontier_size = static_cast<std::int64_t>(active_count);
-        ev.active_work = static_cast<std::int64_t>(active_work);
-        ev.total_work = static_cast<std::int64_t>(g.num_arcs());
-        ev.total_count = n;
-        ev.alpha = policy.params().alpha;
-        ev.beta = policy.params().beta;
-        ev.t0_ns = t0;
-        ev.dur_ns = obs::now_ns() - t0;
-        ev.instr = obs::counter_delta(obs::instr_snapshot(instr), c0);
-        obs::record_round(tracer, ev);
-      }
+      round.record("cc", r.rounds, active_count, active_work,
+                   static_cast<double>(g.num_arcs()), n, policy.params().alpha,
+                   policy.params().beta, "sequential-tail");
       break;
     }
 
@@ -129,48 +115,31 @@ CcResult connected_components(const G& g, const CcOptions& opt = {},
     const bool frontier_exploit =
         opt.strategy != engine::StrategyKind::StaticPush &&
         opt.strategy != engine::StrategyKind::StaticPull;
-    engine::EdgeMapStats st;
-    const std::uint64_t t0 = trace ? obs::now_ns() : 0;
-    const CounterBlock c0 = trace ? obs::instr_snapshot(instr) : CounterBlock{};
-    engine::EdgeMapStats* stp = trace ? &st : nullptr;
+    detail::RoundTrace round(tracer, instr);
     if (dir == Direction::Push) {
       if (frontier_exploit) {
         // FE: only the changed set's neighborhood is touched this round.
         changed = engine::sparse_push(
             g, ws, changed, detail::CcPropagate{r.comp.data(), nullptr}, emo,
-            instr, stp);
+            instr, round.stats());
       } else {
         // Static push: all m arcs re-pushed every round.
         changed = engine::dense_push(g, ws, /*sources=*/nullptr,
                                      detail::CcPropagate{r.comp.data(), nullptr},
-                                     emo, instr, stp);
+                                     emo, instr, round.stats());
       }
     } else {
       changed = engine::dense_pull(
           g, ws,
           detail::CcPropagate{r.comp.data(),
                               frontier_exploit ? &changed.dense() : nullptr},
-          emo, instr, stp);
+          emo, instr, round.stats());
     }
     r.round_dirs.push_back(dir);
     ++r.rounds;
-    if (trace) {
-      obs::RoundEvent ev;
-      ev.kernel = "cc";
-      ev.mode = engine::to_string(st.mode);
-      ev.round = r.rounds;
-      ev.frontier_size = static_cast<std::int64_t>(active_count);
-      ev.active_work = static_cast<std::int64_t>(active_work);
-      ev.total_work = static_cast<std::int64_t>(g.num_arcs());
-      ev.total_count = n;
-      ev.alpha = policy.params().alpha;
-      ev.beta = policy.params().beta;
-      ev.updates = st.updates;
-      ev.t0_ns = t0;
-      ev.dur_ns = obs::now_ns() - t0;
-      ev.instr = obs::counter_delta(obs::instr_snapshot(instr), c0);
-      obs::record_round(tracer, ev);
-    }
+    round.record("cc", r.rounds, active_count, active_work,
+                 static_cast<double>(g.num_arcs()), n, policy.params().alpha,
+                 policy.params().beta);
   }
   return r;
 }

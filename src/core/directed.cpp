@@ -5,30 +5,6 @@
 
 namespace pushpull {
 
-std::vector<double> pagerank_digraph_seq(const Digraph& g,
-                                         const DirectedPageRankOptions& opt) {
-  const vid_t n = g.out.n();
-  PP_CHECK(n > 0);
-  std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
-  std::vector<double> next(static_cast<std::size_t>(n), 0.0);
-  for (int l = 0; l < opt.iterations; ++l) {
-    double dangling = 0.0;
-    for (vid_t v = 0; v < n; ++v) {
-      if (g.out.degree(v) == 0) dangling += pr[static_cast<std::size_t>(v)];
-    }
-    const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
-    for (vid_t v = 0; v < n; ++v) {
-      double sum = 0.0;
-      for (vid_t u : g.in.neighbors(v)) {
-        sum += pr[static_cast<std::size_t>(u)] / g.out.degree(u);
-      }
-      next[static_cast<std::size_t>(v)] = base + opt.damping * sum;
-    }
-    pr.swap(next);
-  }
-  return pr;
-}
-
 namespace {
 
 // Reachability closure from `seed` restricted to subproblem `sid`: rounds of

@@ -19,33 +19,24 @@
 //          graph cannot split anything (any old path can be patched through
 //          the surviving connection); a disconnect is a monotone break —
 //          labels would have to *grow* — so repair falls back to recompute.
-//   PR   — the fixpoint factors as pr = β·s over the base-response system
-//          s = 1 + f·Mᵀs (no dangling feedback), so the batch-induced global
-//          dangling-mass shift is cancelled analytically by rescaling the
-//          warm start with the closed-form β ratio; the leftover spiky error
-//          is collapsed by per-vertex Aitken Δ² steps between certification
-//          sweeps, which run to the L∞ < tol fixpoint. The certificate makes
-//          the result comparable to a cold pagerank_converged run: both land
-//          within tol·f/(1−f) of the true fixpoint, so they agree to ~7·tol
-//          regardless of the warm start.
 //
-// Every kernel is differentially tested against full recompute on the same
+// PageRank has no repair here: the service serves it cold
+// (pagerank_converged, core/pagerank.hpp).
+//
+// Both kernels are differentially tested against full recompute on the same
 // snapshot (tests/test_incremental.cpp); perfbench's ingest_repair workload
 // times the BFS and CC repairs per commit batch and checks every answer.
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <queue>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "core/bfs.hpp"
 #include "core/connected_components.hpp"
-#include "core/directed.hpp"
-#include "core/pagerank.hpp"
 #include "engine/edge_map.hpp"
 #include "engine/graph_view.hpp"
 #include "graph/delta_graph.hpp"
@@ -55,18 +46,9 @@
 
 namespace pushpull {
 
-struct IncrementalOptions {
-  double damping = 0.85;
-  double tol = 1e-12;          // PR: stop when the L∞ sweep change < tol
-  int max_iterations = 1000;   // PR: certification sweep cap
-  int max_repair_rounds = 64;  // PR: Aitken sweep-pair rounds before handing
-                               // off to the vanilla converged loop
-};
-
 struct IncrementalStats {
-  bool fell_back = false;      // repair degenerated to full recompute
-  int repair_rounds = 0;       // localized rounds (BFS/CC) or pushes (PR) run
-  int certify_iterations = 0;  // PR: full sweeps after the localized phase
+  bool fell_back = false;  // repair degenerated to full recompute
+  int repair_rounds = 0;   // localized rounds run
 };
 
 namespace detail {
@@ -100,9 +82,7 @@ class RepairSpan {
     ev.dur_ns = obs::now_ns() - t0_;
     ev.mode = st_->fell_back ? "fell-back" : "incremental";
     ev.arg("fell_back", st_->fell_back ? 1.0 : 0.0)
-        .arg("repair_rounds", static_cast<double>(st_->repair_rounds))
-        .arg("certify_iterations",
-             static_cast<double>(st_->certify_iterations));
+        .arg("repair_rounds", static_cast<double>(st_->repair_rounds));
     t_->record(ev);
   }
 
@@ -115,13 +95,43 @@ class RepairSpan {
 
 }  // namespace detail
 
-// --- Full-recompute comparators over a GraphView -----------------------------
+namespace detail {
 
-// Level-synchronous BFS distances (-1 = unreachable) along arc direction.
-template <engine::GraphView View, class Instr = NullInstr>
-std::vector<vid_t> bfs_levels(const View& view, vid_t root, Instr instr = {}) {
-  return bfs_digraph(view, root, Direction::Push, instr);
+// Min-label flood to the weak fixpoint from `changed`: each round pushes
+// labels along out-arcs and, on a digraph, along in-arcs too, then merges the
+// two changed sets. Returns the number of rounds.
+template <engine::GraphView View, class Instr>
+int weak_cc_flood(const View& view, std::vector<vid_t>& comp,
+                  engine::VertexSet changed, int region, Instr instr) {
+  const vid_t n = view.n();
+  engine::Workspace ws(n);
+  engine::EdgeMapOptions emo;
+  emo.region = region;
+  emo.dedup_output = true;
+  const CcPropagate propagate{comp.data(), nullptr};
+  int rounds = 0;
+  for (; !changed.empty(); ++rounds) {
+    engine::VertexSet fwd =
+        engine::sparse_push(view.out(), ws, changed, propagate, emo, instr);
+    if (view.is_symmetric()) {
+      changed = std::move(fwd);
+      continue;
+    }
+    engine::VertexSet bwd =
+        engine::sparse_push(view.in(), ws, changed, propagate, emo, instr);
+    std::vector<vid_t> merged(fwd.ids().begin(), fwd.ids().end());
+    merged.insert(merged.end(), bwd.ids().begin(), bwd.ids().end());
+    std::sort(merged.begin(), merged.end());
+    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+    changed = engine::VertexSet(n, std::move(merged));
+  }
+  return rounds;
 }
+
+}  // namespace detail
+
+// --- Full-recompute comparators over a GraphView -----------------------------
+// (BFS levels: bfs_levels, core/bfs.hpp.)
 
 // Weakly-connected component labels: comp[v] = smallest vertex id reachable
 // from v ignoring arc direction. On a symmetric view this is exactly
@@ -134,78 +144,8 @@ std::vector<vid_t> cc_labels(const View& view, Instr instr = {}) {
   std::vector<vid_t> comp(static_cast<std::size_t>(n));
   for (vid_t v = 0; v < n; ++v) comp[static_cast<std::size_t>(v)] = v;
   if (n == 0) return comp;
-  engine::Workspace ws(n);
-  engine::EdgeMapOptions emo;
-  emo.region = 80;
-  emo.dedup_output = true;
-  engine::VertexSet changed = engine::VertexSet::all(n);
-  while (!changed.empty()) {
-    engine::VertexSet fwd = engine::sparse_push(
-        view.out(), ws, changed, detail::CcPropagate{comp.data(), nullptr}, emo,
-        instr);
-    engine::VertexSet bwd = engine::sparse_push(
-        view.in(), ws, changed, detail::CcPropagate{comp.data(), nullptr}, emo,
-        instr);
-    std::vector<vid_t> merged(fwd.ids().begin(), fwd.ids().end());
-    merged.insert(merged.end(), bwd.ids().begin(), bwd.ids().end());
-    std::sort(merged.begin(), merged.end());
-    merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-    changed = engine::VertexSet(n, std::move(merged));
-  }
+  detail::weak_cc_flood(view, comp, engine::VertexSet::all(n), 80, instr);
   return comp;
-}
-
-struct PrFixpoint {
-  std::vector<double> ranks;
-  int iterations = 0;
-  double residual = 0.0;  // final L∞ sweep change
-};
-
-// Jacobi PageRank iterated to the L∞ < tol fixpoint (same update rule and
-// dangling redistribution as pagerank_digraph, but convergence-driven rather
-// than a fixed L). `warm` seeds the iteration when non-empty — the
-// incremental kernel's certification phase and the cold comparator are the
-// same function, differing only in the start point.
-template <engine::GraphView View, class Instr = NullInstr>
-PrFixpoint pagerank_converged(const View& view,
-                              const IncrementalOptions& opt = {},
-                              std::vector<double> warm = {}, Instr instr = {}) {
-  const vid_t n = view.n();
-  PP_CHECK(n > 0);
-  const auto& out = view.out();
-  using OutG = std::remove_cvref_t<decltype(view.out())>;
-  PrFixpoint fix;
-  fix.ranks = warm.empty()
-                  ? std::vector<double>(static_cast<std::size_t>(n), 1.0 / n)
-                  : std::move(warm);
-  PP_CHECK(fix.ranks.size() == static_cast<std::size_t>(n));
-  std::vector<double> next(static_cast<std::size_t>(n), 0.0);
-  engine::Workspace ws(n);
-  engine::EdgeMapOptions emo;
-  emo.region = 81;
-  emo.track_output = false;
-  while (fix.iterations < opt.max_iterations) {
-    const double dangling = detail::pr_dangling_mass(out, fix.ranks);
-    const double base =
-        (1.0 - opt.damping) / n + opt.damping * dangling / n;
-    engine::dense_pull(view, ws,
-                       detail::DirPrGather<OutG>{&out, fix.ranks.data(),
-                                                 next.data(), base, opt.damping},
-                       emo, instr);
-    double delta = 0.0;
-#pragma omp parallel for reduction(max : delta) schedule(static)
-    for (vid_t v = 0; v < n; ++v) {
-      const double d = next[static_cast<std::size_t>(v)] -
-                       fix.ranks[static_cast<std::size_t>(v)];
-      delta = std::max(delta, d < 0 ? -d : d);
-    }
-    fix.ranks.swap(next);
-    std::fill(next.begin(), next.end(), 0.0);
-    ++fix.iterations;
-    fix.residual = delta;
-    if (delta < opt.tol) break;
-  }
-  return fix;
 }
 
 // --- Incremental BFS ---------------------------------------------------------
@@ -293,7 +233,7 @@ std::vector<vid_t> incremental_bfs(const View& view,
   }
   for (std::size_t head = 0; head < orphans.size(); ++head) {
     if (orphans.size() > static_cast<std::size_t>(n) / 4) {
-      if (stats != nullptr) stats->fell_back = true;
+      stats->fell_back = true;
       return bfs_levels(view, root, instr);
     }
     const vid_t w = orphans[head];
@@ -331,9 +271,7 @@ std::vector<vid_t> incremental_bfs(const View& view,
         if (orphaned[static_cast<std::size_t>(y)]) heap.emplace(d + 1, y);
       }
     }
-    if (stats != nullptr) {
-      stats->repair_rounds += static_cast<int>(orphans.size());
-    }
+    stats->repair_rounds += static_cast<int>(orphans.size());
   }
 
   // Insertions can only shorten distances: seed relax waves at every
@@ -365,7 +303,7 @@ std::vector<vid_t> incremental_bfs(const View& view,
   while (!frontier.empty()) {
     frontier = engine::sparse_push(view.out(), ws, frontier,
                                    detail::BfsRelax{dist.data()}, emo, instr);
-    if (stats != nullptr) ++stats->repair_rounds;
+    ++stats->repair_rounds;
   }
   return dist;
 }
@@ -478,13 +416,13 @@ std::vector<vid_t> incremental_cc(const View& view,
         for (vid_t w : side) fresh = std::min(fresh, w);
         if (fresh == comp[static_cast<std::size_t>(side[0])]) continue;
         for (vid_t w : side) comp[static_cast<std::size_t>(w)] = fresh;
-        if (stats != nullptr) ++stats->repair_rounds;
+        ++stats->repair_rounds;
       }
       decided = true;  // connected, or the split side relabeled
       break;
     }
     if (!decided) {
-      if (stats != nullptr) stats->fell_back = true;
+      stats->fell_back = true;
       return cc_labels(view, instr);
     }
   }
@@ -501,261 +439,9 @@ std::vector<vid_t> incremental_cc(const View& view,
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   if (seeds.empty()) return comp;
 
-  engine::Workspace ws(n);
-  engine::EdgeMapOptions emo;
-  emo.region = 83;
-  emo.dedup_output = true;
-  engine::VertexSet changed(n, std::move(seeds));
-  while (!changed.empty()) {
-    if (view.is_symmetric()) {
-      changed = engine::sparse_push(view.out(), ws, changed,
-                                    detail::CcPropagate{comp.data(), nullptr},
-                                    emo, instr);
-    } else {
-      engine::VertexSet fwd = engine::sparse_push(
-          view.out(), ws, changed, detail::CcPropagate{comp.data(), nullptr},
-          emo, instr);
-      engine::VertexSet bwd = engine::sparse_push(
-          view.in(), ws, changed, detail::CcPropagate{comp.data(), nullptr},
-          emo, instr);
-      std::vector<vid_t> merged(fwd.ids().begin(), fwd.ids().end());
-      merged.insert(merged.end(), bwd.ids().begin(), bwd.ids().end());
-      std::sort(merged.begin(), merged.end());
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      changed = engine::VertexSet(n, std::move(merged));
-    }
-    if (stats != nullptr) ++stats->repair_rounds;
-  }
+  stats->repair_rounds += detail::weak_cc_flood(
+      view, comp, engine::VertexSet(n, std::move(seeds)), 83, instr);
   return comp;
-}
-
-namespace detail {
-
-// In-place Gaussian elimination with partial pivoting for the tiny (m ≤ 5)
-// regularized Anderson normal equations; `lda` is the row stride of `a`.
-// Returns false when a pivot underflows (window fully degenerate).
-inline bool solve_spd(int m, double* a, int lda, const double* b, double* x) {
-  double rhs[8];
-  for (int i = 0; i < m; ++i) rhs[i] = b[i];
-  for (int k = 0; k < m; ++k) {
-    int piv = k;
-    for (int r = k + 1; r < m; ++r) {
-      if (std::abs(a[r * lda + k]) > std::abs(a[piv * lda + k])) piv = r;
-    }
-    if (std::abs(a[piv * lda + k]) < 1e-300) return false;
-    if (piv != k) {
-      for (int c = k; c < m; ++c) std::swap(a[k * lda + c], a[piv * lda + c]);
-      std::swap(rhs[k], rhs[piv]);
-    }
-    for (int r = k + 1; r < m; ++r) {
-      const double factor = a[r * lda + k] / a[k * lda + k];
-      for (int c = k; c < m; ++c) a[r * lda + c] -= factor * a[k * lda + c];
-      rhs[r] -= factor * rhs[k];
-    }
-  }
-  for (int i = m - 1; i >= 0; --i) {
-    double s = rhs[i];
-    for (int c = i + 1; c < m; ++c) s -= a[i * lda + c] * x[c];
-    x[i] = s / a[i * lda + i];
-  }
-  return true;
-}
-
-}  // namespace detail
-
-// --- Incremental PageRank ----------------------------------------------------
-
-// Repairs PageRank after one committed batch: an analytic global rescale
-// re-anchors the warm start, then Aitken-accelerated certification sweeps run
-// the whole vector to the L∞ < tol fixpoint. Matches a cold
-// pagerank_converged(view) run to within ~2·tol·f/(1−f).
-//
-// Why not a localized frontier repair? A warm start converges to tol-grade
-// residuals *slower* than a cold one here: the update-induced error rides the
-// walk modes with |eigenvalue| ≈ 1 — mass shuffled between weak components by
-// merge/split updates, and oscillations on near-bipartite low-degree
-// structures — which decay at the worst-case rate f per sweep, while a cold
-// uniform start barely excites them (uniform already carries each closed
-// component's correct share, so cold error is dominated by fast-mixing smooth
-// modes). And on a small-world graph a 1e-12-grade repair wave reaches the
-// whole graph in a handful of hops, so arc-following locality saves nothing.
-// Both slow families are instead removed structurally:
-//
-// (a) arcs never leave a weak component, so the damped chain conserves each
-//     component's mass up to teleport inflow and dangling redistribution.
-//     With β = (1−f)/n + f·(Σ_dangling pr)/n, component C's stationary mass
-//     obeys  mass_C·(1−f) = β·|C| − f·dang_C  exactly. Rescaling the warm
-//     vector per component to that budget (β and the scales solve in closed
-//     form below) cancels every inter-component migration mode analytically
-//     — no iteration ever has to carry them.
-// (b) the leftover error still rides degenerate slow clusters — every closed
-//     component contributes a walk eigenvalue at exactly +1 (stationary
-//     redistribution) and every bipartite one at −1 — so the certification
-//     sweeps run under Anderson acceleration: each step takes one genuine
-//     Jacobi sweep g(x), then extrapolates through the least-squares
-//     combination of the last kAndersonDepth residual differences (windowed
-//     GMRES on I−g). A degenerate cluster is a single root of the implicit
-//     residual polynomial, so the ±f families die together instead of
-//     paying ~14 sweeps per decade each. Extrapolation never touches the
-//     termination certificate — the loop only exits when a genuine sweep's
-//     L∞ change is < tol, the same criterion the cold run uses, so the
-//     ~2·tol·f/(1−f) differential bound is unconditional.
-template <engine::GraphView View, class Instr = NullInstr,
-          class TracerT = obs::NullTracer>
-PrFixpoint incremental_pagerank(const View& view,
-                                std::span<const EdgeUpdate> updates,
-                                const std::vector<double>& prev,
-                                const IncrementalOptions& opt = {},
-                                IncrementalStats* stats = nullptr,
-                                Instr instr = {}, TracerT* tracer = nullptr) {
-  const vid_t n = view.n();
-  PP_CHECK(n > 0);
-  PP_CHECK(prev.size() == static_cast<std::size_t>(n));
-  IncrementalStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = {};
-  const detail::RepairSpan<TracerT> span(tracer, "incremental_pagerank", stats);
-  const auto& out = view.out();
-  const double f = opt.damping;
-  // The repair is global-analytic, so the update list itself is not walked;
-  // it stays in the signature for interface symmetry with the other kernels.
-  (void)updates;
-
-  // Weak components of the post-update graph (labels are component-minimum
-  // vertex ids), then each component's warm total mass and dangling mass.
-  const std::vector<vid_t> comp = cc_labels(view, instr);
-  std::vector<double> mass(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> dang(static_cast<std::size_t>(n), 0.0);
-  std::vector<vid_t> csize(static_cast<std::size_t>(n), 0);
-  for (vid_t v = 0; v < n; ++v) {
-    const std::size_t i = static_cast<std::size_t>(v);
-    const std::size_t c = static_cast<std::size_t>(comp[i]);
-    mass[c] += prev[i];
-    if (out.degree(v) == 0) dang[c] += prev[i];
-    ++csize[c];
-  }
-
-  // Self-consistent β and per-component scales: with x_C = scale_C·prev_C,
-  // the budget mass_C·(1−f) = β·|C| − f·dang_C gives
-  //   scale_C = β·|C| / ((1−f)·mass_C + f·dang_C),
-  // and substituting the scaled dangling mass back into
-  // β = (1−f)/n + f·Σ_C scale_C·dang_C / n leaves β alone on both sides.
-  // mass_C ≥ |C|·(1−f)/n > 0, so every denominator is positive.
-  double t = 0.0;
-  for (vid_t c = 0; c < n; ++c) {
-    const std::size_t i = static_cast<std::size_t>(c);
-    if (csize[i] == 0) continue;
-    t += dang[i] * csize[i] / ((1.0 - f) * mass[i] + f * dang[i]);
-  }
-  const double beta = ((1.0 - f) / n) / (1.0 - f * t / n);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v) {
-    const std::size_t i = static_cast<std::size_t>(v);
-    const std::size_t c = static_cast<std::size_t>(comp[i]);
-    const double scale = beta * csize[c] / ((1.0 - f) * mass[c] + f * dang[c]);
-    x[i] = scale * prev[i];
-  }
-
-  // Anderson-accelerated certification. Each step costs one genuine sweep
-  // g(x) plus O(kAndersonDepth·n) vector work; the mixing coefficients come
-  // from an m×m normal-equation solve over the residual-difference window.
-  constexpr int kAndersonDepth = 5;
-  IncrementalOptions single = opt;
-  single.max_iterations = 1;
-  PrFixpoint fix;
-  int sweeps = 0;
-  const auto certified = [&]() {
-    fix.iterations = sweeps;
-    if (stats != nullptr) {
-      stats->repair_rounds = sweeps;
-      stats->certify_iterations = sweeps;
-    }
-  };
-  const std::size_t un = static_cast<std::size_t>(n);
-  std::vector<std::vector<double>> dxs, dfs;  // last m iterate/residual deltas
-  std::vector<double> x_prev, f_prev, fvec(un);
-  while (sweeps < opt.max_iterations &&
-         sweeps < opt.max_repair_rounds) {
-    fix = pagerank_converged(view, single, x, instr);  // g(x); keeps x alive
-    ++sweeps;
-    if (fix.residual < opt.tol) {
-      certified();
-      return fix;
-    }
-    for (std::size_t i = 0; i < un; ++i) fvec[i] = fix.ranks[i] - x[i];
-    if (!x_prev.empty()) {
-      std::vector<double> dx(un), df(un);
-      for (std::size_t i = 0; i < un; ++i) {
-        dx[i] = x[i] - x_prev[i];
-        df[i] = fvec[i] - f_prev[i];
-      }
-      if (dxs.size() == kAndersonDepth) {
-        dxs.erase(dxs.begin());
-        dfs.erase(dfs.begin());
-      }
-      dxs.push_back(std::move(dx));
-      dfs.push_back(std::move(df));
-    }
-    x_prev = x;
-    f_prev = fvec;
-
-    // γ = argmin ||f − Σ γ_j Δf_j||₂ via the (regularized) normal equations;
-    // then x⁺ = x + f − Σ γ_j (Δx_j + Δf_j). With an empty window this is the
-    // plain Picard step x⁺ = g(x).
-    std::vector<double> xnext = std::move(fix.ranks);
-    const int m = static_cast<int>(dxs.size());
-    if (m > 0) {
-      double gram[kAndersonDepth][kAndersonDepth];
-      double rhs[kAndersonDepth];
-      double diag_max = 0.0;
-      for (int a = 0; a < m; ++a) {
-        for (int b = a; b < m; ++b) {
-          double dot = 0.0;
-          for (std::size_t i = 0; i < un; ++i) dot += dfs[a][i] * dfs[b][i];
-          gram[a][b] = gram[b][a] = dot;
-        }
-        diag_max = std::max(diag_max, gram[a][a]);
-        double dot = 0.0;
-        for (std::size_t i = 0; i < un; ++i) dot += dfs[a][i] * fvec[i];
-        rhs[a] = dot;
-      }
-      // Tikhonov floor keeps near-parallel columns (converged directions)
-      // from blowing up the solve instead of being ignored.
-      for (int a = 0; a < m; ++a) gram[a][a] += 1e-10 * diag_max;
-      double gamma[kAndersonDepth];
-      bool solved = detail::solve_spd(m, &gram[0][0], kAndersonDepth, rhs,
-                                      gamma);
-      if (solved) {
-        for (int a = 0; a < m; ++a) {
-          const double g = gamma[a];
-          if (g == 0.0) continue;
-          for (std::size_t i = 0; i < un; ++i) {
-            xnext[i] -= g * (dxs[a][i] + dfs[a][i]);
-          }
-        }
-        for (std::size_t i = 0; i < un; ++i) {
-          if (!std::isfinite(xnext[i])) {
-            solved = false;
-            break;
-          }
-        }
-        if (!solved) {  // poisoned extrapolation: fall back to plain Picard
-          for (std::size_t i = 0; i < un; ++i) xnext[i] = x_prev[i] + fvec[i];
-        }
-      }
-    }
-    x = std::move(xnext);
-  }
-
-  // Sweep budget exhausted without a certificate: hand the last genuinely
-  // swept vector to the vanilla converged loop (identical to the cold path).
-  fix = pagerank_converged(view, opt, std::move(x), instr);
-  fix.iterations += sweeps;
-  if (stats != nullptr) {
-    stats->repair_rounds = sweeps;
-    stats->certify_iterations = fix.iterations;
-  }
-  return fix;
 }
 
 }  // namespace pushpull

@@ -1,28 +1,35 @@
-// PageRank (§3.1, §4.1, Algorithm 1) in push, pull, and push+Partition-Aware
-// (§5, Algorithm 8) variants, on the engine substrate.
+// PageRank (§3.1, §4.1, §4.8, Algorithm 1) in push, pull, and
+// push+Partition-Aware (§5, Algorithm 8) variants, on the engine substrate.
 //
-// r(v) = (1-f)/|V| + f * Σ_{u ∈ N(v)} r(u)/d(u)
+// r(v) = (1-f)/|V| + f * Σ_{u ∈ N_in(v)} r(u)/d_out(u)
 //
-//   pull — engine::dense_pull: t[v] accumulates r(u)/d(u) from every neighbor
-//          into its own new_pr[v] through PlainCtx: read conflicts only, no
-//          atomics or locks.
-//   push — engine::dense_push: t[v] adds r(v)/d(v) into every neighbor's
-//          new_pr[u] through AtomicCtx: float write conflicts; no CPU offers
-//          float atomics, so each update is a CAS loop that the paper (and
-//          the context's accounting) prices as a lock.
+//   pull — engine::dense_pull: t[v] accumulates r(u)/d_out(u) from every
+//          in-neighbor into its own new_pr[v] through PlainCtx: read
+//          conflicts only, no atomics or locks.
+//   push — engine::dense_push: t[v] adds r(v)/d_out(v) into every
+//          out-neighbor's new_pr[u] through AtomicCtx: float write
+//          conflicts; no CPU offers float atomics, so each update is a CAS
+//          loop that the paper (and the context's accounting) prices as a
+//          lock.
 //   push+PA — engine::dense_push_pa over the partition-aware representation:
 //          local updates ride PlainCtx (plain stores), only remote updates
 //          pay the lock (Algorithm 8).
 //
-// One functor expresses the rank transfer; the direction and sync policy pick
-// which context it writes through. Mass from dangling (degree-0) vertices is
-// redistributed uniformly each iteration so ranks always sum to 1.
+// One driver runs the sweep loop over any GraphView in either direction, so
+// symmetric graphs, digraphs and snapshots share it; pagerank_pull,
+// pagerank_push, pagerank_digraph (core/directed.hpp) and pagerank_converged
+// are wrappers. Mass from dangling (out-degree 0) vertices is redistributed
+// uniformly each iteration so ranks always sum to 1.
 #pragma once
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
+#include "core/direction.hpp"
+#include "core/round_trace.hpp"
 #include "engine/edge_map.hpp"
+#include "engine/graph_view.hpp"
 #include "graph/csr.hpp"
 #include "graph/partition_aware.hpp"
 #include "obs/trace.hpp"
@@ -36,8 +43,11 @@ struct PageRankOptions {
   double damping = 0.85;   // f
 };
 
-// Per-iteration wall times, filled if `iter_times != nullptr`.
-using IterTimes = std::vector<double>;
+struct PrFixpoint {
+  std::vector<double> ranks;
+  int iterations = 0;
+  double residual = 0.0;  // final L∞ sweep change (computed under a stop)
+};
 
 namespace detail {
 
@@ -65,8 +75,8 @@ inline double pr_dangling_mass(const G& g, const std::vector<double>& pr) {
   return dangling;
 }
 
-// Pull: fold r(u)/d(u) into new_pr[v] in neighbor order, then scale once —
-// the same per-vertex fold as pagerank_seq.
+// Pull: fold r(u)/d_out(u) into new_pr[v] in in-neighbor order, then scale
+// once — the same per-vertex fold as pagerank_seq. `g` is the out-CSR.
 template <CsrLike G>
 struct PrGather {
   const G* g;
@@ -91,9 +101,10 @@ struct PrGather {
   }
 };
 
-// Push: scatter f·r(s)/d(s) into each neighbor's accumulator. Works for both
-// the flat CSR (AtomicCtx everywhere) and the PA split (PlainCtx local half,
-// AtomicCtx remote half) — degree comes from the representation in use.
+// Push: scatter f·r(s)/d(s) into each out-neighbor's accumulator. Works for
+// both the flat out-CSR (AtomicCtx everywhere) and the PA split (PlainCtx
+// local half, AtomicCtx remote half) — degree comes from the representation
+// in use.
 template <class Rep>
 struct PrScatter {
   const Rep* rep;
@@ -115,114 +126,98 @@ struct PrScatter {
   }
 };
 
-}  // namespace detail
-
-namespace detail {
-
-// PR iterations are fixed-direction full sweeps; the RoundEvent still earns
-// its keep in a trace (per-iteration wall time + instr deltas line up against
-// BFS/CC lanes).
-template <class TracerT>
-inline void record_pr_round(TracerT* tracer, const char* mode, int iter,
-                            std::int64_t n, std::int64_t m,
-                            const engine::EdgeMapStats& st, std::uint64_t t0,
-                            const CounterBlock& delta) {
-  if constexpr (TracerT::kEnabled) {
-    obs::RoundEvent ev;
-    ev.kernel = "pagerank";
-    ev.mode = mode;
-    ev.round = iter;
-    ev.frontier_size = n;  // dense sweep: every vertex is active
-    ev.active_work = m;
-    ev.total_work = m;
-    ev.total_count = n;
-    ev.updates = st.updates;
-    ev.t0_ns = t0;
-    ev.dur_ns = obs::now_ns() - t0;
-    ev.instr = delta;
-    obs::record_round(tracer, ev);
-  } else {
-    (void)tracer, (void)mode, (void)iter, (void)n, (void)m, (void)st, (void)t0,
-        (void)delta;
+// The one PageRank driver: up to opt.iterations sweeps of the dangling-mass,
+// sweep and swap loop in direction `dir`. With tol > 0 each sweep also takes
+// its L∞ change, and the loop stops once that falls below tol.
+template <engine::GraphView View, class Instr, class TracerT>
+PrFixpoint pagerank_sweeps(const View& view, const PageRankOptions& opt,
+                           Direction dir, double tol, Instr instr,
+                           TracerT* tracer) {
+  const vid_t n = view.n();
+  PP_CHECK(n > 0);
+  const auto& out = view.out();
+  using OutG = std::remove_cvref_t<decltype(view.out())>;
+  PrFixpoint fix;
+  std::vector<double>& pr = fix.ranks;
+  pr.assign(static_cast<std::size_t>(n), 1.0 / n);
+  std::vector<double> next(static_cast<std::size_t>(n), 0.0);
+  engine::Workspace ws(n);
+  engine::EdgeMapOptions emo;
+  emo.region = dir == Direction::Pull ? 1 : 2;
+  emo.track_output = false;
+  const auto arcs = static_cast<double>(view.num_arcs());
+  while (fix.iterations < opt.iterations) {
+    RoundTrace round(tracer, instr);
+    const double dangling = pr_dangling_mass(out, pr);
+    const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
+    if (dir == Direction::Pull) {
+      engine::dense_pull(
+          view, ws,
+          PrGather<OutG>{&out, pr.data(), next.data(), base, opt.damping}, emo,
+          instr, round.stats());
+    } else {
+      engine::dense_push(
+          view, ws, /*sources=*/nullptr,
+          PrScatter<OutG>{&out, pr.data(), next.data(), opt.damping}, emo,
+          instr, round.stats());
+    }
+    // A dense sweep: every vertex is active, every arc is work.
+    round.record("pagerank", fix.iterations + 1, n, arcs, arcs, n, 0.0, 0.0);
+    if (dir == Direction::Push) {
+      engine::vertex_map(
+          n, ws,
+          [&](auto& ctx, vid_t v) {
+            ctx.add(next[static_cast<std::size_t>(v)], base);
+            return false;
+          },
+          engine::VertexMapOptions{.track = false}, instr);
+    }
+    if (tol > 0.0) {
+      double delta = 0.0;
+#pragma omp parallel for reduction(max : delta) schedule(static)
+      for (vid_t v = 0; v < n; ++v) {
+        const double d = next[static_cast<std::size_t>(v)] -
+                         pr[static_cast<std::size_t>(v)];
+        delta = std::max(delta, d < 0 ? -d : d);
+      }
+      fix.residual = delta;
+    }
+    pr.swap(next);
+    std::fill(next.begin(), next.end(), 0.0);
+    ++fix.iterations;
+    if (tol > 0.0 && fix.residual < tol) break;
   }
+  return fix;
 }
 
 }  // namespace detail
 
 // Pull-based PageRank: new_pr[v] += f·pr[u]/d(u) for u ∈ N(v)  (R-conflicts).
-template <CsrLike G, class Instr = NullInstr, class TracerT = obs::NullTracer>
-std::vector<double> pagerank_pull(const G& g, const PageRankOptions& opt,
+template <class Instr = NullInstr, class TracerT = obs::NullTracer>
+std::vector<double> pagerank_pull(const Csr& g, const PageRankOptions& opt,
                                   Instr instr = {}, TracerT* tracer = nullptr) {
-  const vid_t n = g.n();
-  PP_CHECK(n > 0);
-  std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
-  std::vector<double> next(static_cast<std::size_t>(n), 0.0);
-  engine::Workspace ws(n);
-  engine::EdgeMapOptions emo;
-  emo.region = 1;
-  emo.track_output = false;
-  for (int l = 0; l < opt.iterations; ++l) {
-    const bool trace = obs::tracing(tracer);
-    const std::uint64_t t0 = trace ? obs::now_ns() : 0;
-    const CounterBlock c0 = trace ? obs::instr_snapshot(instr) : CounterBlock{};
-    engine::EdgeMapStats st;
-    const double dangling = detail::pr_dangling_mass(g, pr);
-    const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
-    engine::dense_pull(
-        g, ws,
-        detail::PrGather<G>{&g, pr.data(), next.data(), base, opt.damping},
-        emo, instr, trace ? &st : nullptr);
-    if (trace) {
-      detail::record_pr_round(
-          tracer, engine::to_string(st.mode), l + 1, n, g.num_arcs(), st, t0,
-          obs::counter_delta(obs::instr_snapshot(instr), c0));
-    }
-    pr.swap(next);
-    std::fill(next.begin(), next.end(), 0.0);
-  }
-  return pr;
+  return detail::pagerank_sweeps(engine::SymmetricView(g), opt,
+                                 Direction::Pull, 0.0, instr, tracer)
+      .ranks;
 }
 
 // Push-based PageRank: new_pr[u] += f·pr[v]/d(v)  (W-conflicts on floats →
 // CAS-loop "locks").
-template <CsrLike G, class Instr = NullInstr, class TracerT = obs::NullTracer>
-std::vector<double> pagerank_push(const G& g, const PageRankOptions& opt,
+template <class Instr = NullInstr, class TracerT = obs::NullTracer>
+std::vector<double> pagerank_push(const Csr& g, const PageRankOptions& opt,
                                   Instr instr = {}, TracerT* tracer = nullptr) {
-  const vid_t n = g.n();
-  PP_CHECK(n > 0);
-  std::vector<double> pr(static_cast<std::size_t>(n), 1.0 / n);
-  std::vector<double> next(static_cast<std::size_t>(n), 0.0);
-  engine::Workspace ws(n);
-  engine::EdgeMapOptions emo;
-  emo.region = 2;
-  emo.track_output = false;
-  for (int l = 0; l < opt.iterations; ++l) {
-    const bool trace = obs::tracing(tracer);
-    const std::uint64_t t0 = trace ? obs::now_ns() : 0;
-    const CounterBlock c0 = trace ? obs::instr_snapshot(instr) : CounterBlock{};
-    engine::EdgeMapStats st;
-    const double dangling = detail::pr_dangling_mass(g, pr);
-    const double base = (1.0 - opt.damping) / n + opt.damping * dangling / n;
-    engine::dense_push(
-        g, ws, /*sources=*/nullptr,
-        detail::PrScatter<G>{&g, pr.data(), next.data(), opt.damping}, emo,
-        instr, trace ? &st : nullptr);
-    if (trace) {
-      detail::record_pr_round(
-          tracer, engine::to_string(st.mode), l + 1, n, g.num_arcs(), st, t0,
-          obs::counter_delta(obs::instr_snapshot(instr), c0));
-    }
-    engine::vertex_map(
-        n, ws,
-        [&](auto& ctx, vid_t v) {
-          ctx.add(next[static_cast<std::size_t>(v)], base);
-          return false;
-        },
-        engine::VertexMapOptions{.track = false}, instr);
-    pr.swap(next);
-    std::fill(next.begin(), next.end(), 0.0);
-  }
-  return pr;
+  return detail::pagerank_sweeps(engine::SymmetricView(g), opt,
+                                 Direction::Push, 0.0, instr, tracer)
+      .ranks;
+}
+
+// Pull PageRank iterated to the L∞ < 1e-12 fixpoint (at most 1000 sweeps):
+// the service's cold PageRank.
+template <engine::GraphView View, class Instr = NullInstr>
+PrFixpoint pagerank_converged(const View& view, Instr instr = {}) {
+  return detail::pagerank_sweeps(view, {.iterations = 1000}, Direction::Pull,
+                                 1e-12, instr,
+                                 static_cast<obs::NullTracer*>(nullptr));
 }
 
 // Push+Partition-Awareness (Algorithm 8): local neighbors first with plain
@@ -259,7 +254,9 @@ std::vector<double> pagerank_push_pa(const Csr& g, const PartitionAwareCsr& pa,
   return pr;
 }
 
-// Sequential reference (power iteration, identical update rule).
+// Sequential references (power iteration, identical update rule): rank
+// flows along the arcs of `g`, and a symmetric Csr is its own transpose.
 std::vector<double> pagerank_seq(const Csr& g, const PageRankOptions& opt);
+std::vector<double> pagerank_seq(const Digraph& g, const PageRankOptions& opt);
 
 }  // namespace pushpull

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/incremental.hpp"
+#include "core/pagerank.hpp"
 #include "digraph_zoo.hpp"
 #include "engine/graph_view.hpp"
 #include "graph/builder.hpp"

@@ -112,7 +112,7 @@ TEST_P(DistBfs, MatchesCoreOnDirectedGraphs) {
   const auto& [nranks, variant, backend] = GetParam();
   const Digraph dg = build_digraph(256, rmat_edges(8, 6, 77));
   const vid_t root = 0;
-  const std::vector<vid_t> want = bfs_digraph(dg, root, Direction::Push);
+  const std::vector<vid_t> want = bfs_levels(engine::DigraphView(dg), root);
   BfsDistOptions opt;
   opt.variant = variant;
   opt.backend = backend;

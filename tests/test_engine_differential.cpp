@@ -70,9 +70,9 @@ TEST_P(EngineDifferential, BfsMatchesSequentialOnZoo) {
     expect_eq_vec(push.dist, ref.dist, name + "/push dist");
     expect_eq_vec(pull.dist, ref.dist, name + "/pull dist");
     expect_eq_vec(diropt.dist, ref.dist, name + "/diropt dist");
-    // Push also processes the last frontier, whose scan finds nothing new.
+    // Every round counts, the last one too, whose scan finds nothing new.
     EXPECT_EQ(push.levels, depth + 1) << name;
-    EXPECT_EQ(pull.levels, depth) << name;
+    EXPECT_EQ(pull.levels, depth + 1) << name;
     expect_eq_vec(pull.parent, first_parents(g, ref.dist), name + "/pull parent");
     // Push parents are race winners; require a valid BFS tree instead.
     EXPECT_TRUE(validate_bfs(g, 0, push)) << name;

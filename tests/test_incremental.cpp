@@ -1,13 +1,11 @@
-// Incremental BFS/CC/PageRank (core/incremental.hpp) differentially tested
-// against full recompute on the same post-update snapshot: exact agreement
-// for BFS and CC, ≤1e-9 L∞ for PageRank, across ≥5 randomized commit batches
-// on the symmetric and digraph zoos, at 1 and 4 OpenMP threads. Directed
-// fallback and repair paths (orphaned BFS subtrees, component splits, probe
-// budget exhaustion) get targeted cases.
+// Incremental BFS/CC (core/incremental.hpp) differentially tested against
+// full recompute on the same post-update snapshot: exact agreement across ≥5
+// randomized commit batches on the symmetric and digraph zoos, at 1 and 4
+// OpenMP threads. Directed fallback and repair paths (orphaned BFS subtrees,
+// component splits, probe budget exhaustion) get targeted cases.
 #include <gtest/gtest.h>
 #include <omp.h>
 
-#include <cmath>
 #include <random>
 #include <vector>
 
@@ -21,15 +19,6 @@ namespace {
 
 constexpr int kBatches = 6;
 constexpr int kBatchEdges = 24;
-constexpr double kPrTol = 1e-9;
-
-double linf(const std::vector<double>& a, const std::vector<double>& b) {
-  double d = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    d = std::max(d, std::abs(a[i] - b[i]));
-  }
-  return d;
-}
 
 // Stages one random mixed batch (roughly 3:1 insert:delete, deletes drawn
 // from live arcs) and returns the committed update list.
@@ -64,7 +53,6 @@ void run_batches(DeltaGraph& dg, std::uint64_t seed, const std::string& name) {
   SnapshotView snap = dg.snapshot();
   std::vector<vid_t> dist = bfs_levels(snap, root);
   std::vector<vid_t> comp = cc_labels(snap);
-  PrFixpoint pr = pagerank_converged(snap);
 
   for (int b = 0; b < kBatches; ++b) {
     const std::vector<EdgeUpdate> updates = stage_batch(dg, rng);
@@ -81,15 +69,8 @@ void run_batches(DeltaGraph& dg, std::uint64_t seed, const std::string& name) {
         incremental_cc(snap, std::span<const EdgeUpdate>(updates), comp, &st);
     EXPECT_EQ(inc_comp, cc_labels(snap)) << name << " batch " << b << " cc";
 
-    PrFixpoint inc_pr = incremental_pagerank(
-        snap, std::span<const EdgeUpdate>(updates), pr.ranks, {}, &st);
-    const PrFixpoint full_pr = pagerank_converged(snap);
-    EXPECT_LE(linf(inc_pr.ranks, full_pr.ranks), kPrTol)
-        << name << " batch " << b << " pr";
-
     dist = std::move(inc_dist);
     comp = std::move(inc_comp);
-    pr = std::move(inc_pr);
     if (b == kBatches / 2) dg.compact();  // repair must survive compaction
   }
 }
@@ -203,26 +184,6 @@ TEST(Incremental, CcBridgeBetweenCliquesFallsBack) {
       incremental_cc(snap, std::span<const EdgeUpdate>(updates), warm, &st);
   EXPECT_EQ(inc, cc_labels(snap));
   EXPECT_TRUE(st.fell_back);
-}
-
-// Warm-started certification must match the cold run even when a batch only
-// inserts (no dangling shift) and when it empties a vertex's adjacency
-// (creating a fresh dangling vertex mid-stream).
-TEST(Incremental, PagerankHandlesDanglingTransitions) {
-  DeltaGraph dg(make_undirected(8, EdgeList{Edge{0, 1, 1.0f}, Edge{2, 3, 1.0f},
-                                            Edge{4, 5, 1.0f}}));
-  const PrFixpoint before = pagerank_converged(dg.snapshot());
-  dg.remove_edge(4, 5);  // 4 and 5 become isolated (dangling)
-  dg.add_edge(1, 2);     // merge two components
-  dg.commit();
-  const SnapshotView snap = dg.snapshot();
-  const std::vector<EdgeUpdate> updates =
-      flatten(dg.batches_since(dg.epoch() - 1));
-
-  const PrFixpoint inc = incremental_pagerank(
-      snap, std::span<const EdgeUpdate>(updates), before.ranks);
-  const PrFixpoint full = pagerank_converged(snap);
-  EXPECT_LE(linf(inc.ranks, full.ranks), kPrTol);
 }
 
 }  // namespace

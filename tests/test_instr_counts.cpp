@@ -389,7 +389,7 @@ TEST_F(InstrFixture, DigraphBfsGreedySwitchTailIsCountedExactly) {
   DigraphBfsOptions opt;
   opt.strategy = engine::StrategyKind::GreedySwitch;
   opt.grs_threshold = 1.0;
-  const DigraphBfsResult r =
+  const BfsResult r =
       bfs_digraph_strategy(view, 0, opt, CountingInstr(pc), &t);
   ASSERT_EQ(r.sequential_tail_levels, 1);
 

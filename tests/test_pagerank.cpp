@@ -194,7 +194,6 @@ TEST(PageRankThreadCount, PullVariantsBitwiseAtOneToFourThreads) {
 
   PageRankOptions opt;
   opt.iterations = 20;
-  DirectedPageRankOptions dopt;
   const engine::DigraphView sink_view(*sinks);
   const engine::DigraphView rmat_view(rmat_dig);
   auto run = [&] {
@@ -202,9 +201,9 @@ TEST(PageRankThreadCount, PullVariantsBitwiseAtOneToFourThreads) {
         {"pagerank_pull", pagerank_pull(rmat, opt)},
         {"pagerank_la",
          la::pagerank_la(rmat, opt.iterations, opt.damping, Direction::Pull)},
-        {"digraph rmat", pagerank_digraph(rmat_view, dopt, Direction::Pull)},
+        {"digraph rmat", pagerank_digraph(rmat_view, {}, Direction::Pull)},
         {"digraph sink_heavy31",
-         pagerank_digraph(sink_view, dopt, Direction::Pull)},
+         pagerank_digraph(sink_view, {}, Direction::Pull)},
         {"converged rmat", pagerank_converged(engine::SymmetricView(rmat)).ranks},
         {"converged rmat digraph", pagerank_converged(rmat_view).ranks},
         {"converged sink_heavy31", pagerank_converged(sink_view).ranks},
